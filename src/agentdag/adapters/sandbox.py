@@ -56,8 +56,6 @@ class LocalExecutor:
         self._compile_locks: dict[str, threading.Lock] = {
             tag: threading.Lock() for tag in self.config.languages
         }
-        self.runs = 0  # total execute() calls that reached a toolchain
-        self._runs_lock = threading.Lock()
 
     # -- public API ---------------------------------------------------------
 
@@ -75,8 +73,6 @@ class LocalExecutor:
         time_limit_ms = time_limit_ms or self.config.time_limit_ms
         memory_limit_mb = memory_limit_mb or self.config.memory_limit_mb
 
-        with self._runs_lock:
-            self.runs += 1
         with self._workers:
             return self._judge(source, tag, spec, tests, time_limit_ms, memory_limit_mb)
 

@@ -13,14 +13,14 @@ import shlex
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from . import jsonio
 from .adapters.base import AdapterError, PolicyAdapter, RoleBackend, SandboxError
 from .adapters.remote import RemotePolicy, RemoteRoleBackend
 from .adapters.sandbox import LocalExecutor
 from .adapters.scripted import ScriptedPolicy, ScriptedRoleBackend
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config, parse_weights
 from .corpus import (
     CorpusFilterConfig,
     corpus_stats,
@@ -28,7 +28,7 @@ from .corpus import (
     read_corpus,
     write_corpus,
 )
-from .dsl import _FENCE_RE, CheckResult, ErrorClass, check_topology, check_yaml
+from .dsl import CheckResult, ErrorClass, check_topology, check_yaml, fenced_blocks
 from .graph import cost_estimate, decode_topology, density_from_counts, density_scores
 from .orchestrator import EpisodeRunner
 from .problem import ProblemSpec, iter_problems, load_problem
@@ -77,7 +77,7 @@ def _check_text(text: str, mode: str, *, prior_ids: frozenset[str],
                 fallback_difficulty: int | None) -> CheckResult:
     """Classify either policy output (fence required) or a bare YAML document."""
     if mode == "auto":
-        mode = "policy" if _FENCE_RE.search(text) else "yaml"
+        mode = "policy" if fenced_blocks(text) else "yaml"
     checker = check_topology if mode == "policy" else check_yaml
     return checker(text, prior_ids=prior_ids, role_pool=role_pool,
                    fallback_difficulty=fallback_difficulty)
@@ -133,22 +133,11 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 # -- reward -------------------------------------------------------------------
 
-def _weights_from(raw: Any) -> tuple[float, float]:
-    if raw is None:
-        return (1.0, 1.0)
-    if isinstance(raw, Mapping):
-        return (float(raw.get("execution", 1.0)), float(raw.get("graph", 1.0)))
-    weights = tuple(float(w) for w in raw)
-    if len(weights) != 2:
-        raise ValueError("weights must be two numbers (execution, graph)")
-    return weights
-
-
 def _cmd_reward(args: argparse.Namespace) -> int:
     data = json.loads(_read_text(args.file))
     try:
         gamma = float(data.get("gamma", 1.0))
-        weights = _weights_from(data.get("weights"))
+        weights = parse_weights(data.get("weights"))
         raw_turns = data["turns"]
         breakdowns = []
         for entry in raw_turns:

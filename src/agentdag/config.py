@@ -78,11 +78,7 @@ class RunConfig:
     max_turns: int = 2  # K
     gamma: float = 1.0
     weights: tuple[float, float] = (1.0, 1.0)  # (w_e, w_g)
-    eps_clip: float = 0.2
-    beta: float = 0.0
-    group_size: int = 8  # G
     difficulty_fallback: int | None = None
-    message_tokens: int = 100  # m, for cost estimates
     observation_log_cap: int = 4000
     role_pool: tuple[str, ...] = DEFAULT_ROLE_POOL
     role_prompts: Mapping[str, str] = field(default_factory=lambda: dict(ROLE_PROMPTS))
@@ -98,16 +94,8 @@ class RunConfig:
             raise ConfigError("gamma must lie in [0, 1]")
         if len(self.weights) != 2 or any(w < 0 for w in self.weights):
             raise ConfigError("weights must be two non-negative numbers")
-        if self.eps_clip <= 0:
-            raise ConfigError("eps_clip must be positive")
-        if self.beta < 0:
-            raise ConfigError("beta must be non-negative")
-        if self.group_size < 2:
-            raise ConfigError("group_size must be >= 2")
         if self.difficulty_fallback is not None and self.difficulty_fallback not in (1, 2, 3):
             raise ConfigError("difficulty_fallback must be 1, 2, or 3")
-        if self.message_tokens < 1:
-            raise ConfigError("message_tokens must be >= 1")
         if self.observation_log_cap < 1:
             raise ConfigError("observation_log_cap must be >= 1")
         ex = self.executor
@@ -119,6 +107,18 @@ class RunConfig:
         if missing:
             raise ConfigError(f"roles without prompts: {missing}")
         return self
+
+
+def parse_weights(raw: Any) -> tuple[float, float]:
+    """(w_e, w_g) from a pair, an {execution, graph} mapping, or None (both 1)."""
+    if raw is None:
+        return (1.0, 1.0)
+    if isinstance(raw, Mapping):
+        return (float(raw.get("execution", 1.0)), float(raw.get("graph", 1.0)))
+    weights = tuple(float(w) for w in raw)
+    if len(weights) != 2:
+        raise ValueError("weights must be two numbers (execution, graph)")
+    return weights
 
 
 def _endpoint_from(data: Mapping[str, Any], where: str) -> AdapterEndpoint:
@@ -164,17 +164,12 @@ def config_from_mapping(data: Mapping[str, Any]) -> RunConfig:
     data = dict(data)
     try:
         kwargs: dict[str, Any] = {}
-        for key in ("max_turns", "gamma", "eps_clip", "beta", "group_size",
-                    "difficulty_fallback", "message_tokens", "observation_log_cap",
+        for key in ("max_turns", "gamma", "difficulty_fallback", "observation_log_cap",
                     "policy_system_prompt"):
             if key in data:
                 kwargs[key] = data.pop(key)
         if "weights" in data:
-            raw = data.pop("weights")
-            if isinstance(raw, Mapping):
-                kwargs["weights"] = (float(raw.get("execution", 1.0)), float(raw.get("graph", 1.0)))
-            else:
-                kwargs["weights"] = tuple(float(w) for w in raw)
+            kwargs["weights"] = parse_weights(data.pop("weights"))
         if "role_pool" in data:
             kwargs["role_pool"] = tuple(str(r) for r in data.pop("role_pool"))
         if "role_prompts" in data:
@@ -196,25 +191,17 @@ def config_from_mapping(data: Mapping[str, Any]) -> RunConfig:
         raise ConfigError(f"invalid config value: {exc}") from exc
 
 
-def load_config(path: str | Path | None = None, overrides: Mapping[str, Any] | None = None) -> RunConfig:
-    """Load the config file (YAML or JSON — JSON is a YAML subset) and apply overrides.
-
-    ``overrides`` are flat top-level replacements (CLI flags beat the file).
-    """
-    data: dict[str, Any] = {}
-    if path is not None:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                loaded = yaml.safe_load(handle)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"config {path} must be a mapping")
-        data = loaded
-    if overrides:
-        data.update({k: v for k, v in overrides.items() if v is not None})
+def load_config(path: str | Path) -> RunConfig:
+    """Load and validate a config file (YAML or JSON — JSON is a YAML subset)."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            data = yaml.safe_load(handle)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
+    if data is None:
+        data = {}
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} must be a mapping")
     return config_from_mapping(data)

@@ -129,20 +129,26 @@ _FENCE_RE = re.compile(
 )
 
 
+def fenced_blocks(text: str) -> list[tuple[str, str]]:
+    """Every complete fenced block in order, as (label, body) pairs.
+
+    ``label`` is the lowercased first word of the fence's info string, or ""
+    when the fence has none.
+    """
+    return [((label.split() or [""])[0].lower(), body)
+            for label, body in _FENCE_RE.findall(text)]
+
+
 def extract_yaml_block(text: str) -> str:
     """Return the first ```yaml fenced block, else the first fenced block of any label.
 
     Raises TopologyError(NO_YAML_FOUND) when the text contains no complete
     fenced block at all.
     """
-    blocks = _FENCE_RE.findall(text)
+    blocks = fenced_blocks(text)
     if not blocks:
         raise TopologyError(ErrorClass.NO_YAML_FOUND, "no fenced code block in policy output")
-    for label, body in blocks:
-        first_word = label.split()[0].lower() if label.split() else ""
-        if first_word == "yaml":
-            return body
-    return blocks[0][1]
+    return next((body for label, body in blocks if label == "yaml"), blocks[0][1])
 
 
 def _schema_error(detail: str, step: int | None = None, agent: str | None = None) -> TopologyError:

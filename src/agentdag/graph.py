@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
+from typing import Mapping
 
 from .dsl import TopologyDoc
 
@@ -55,7 +57,7 @@ class LayeredDag:
 
     turn: int
     layers: tuple[tuple[str, ...], ...]
-    nodes: dict[str, DagNode]
+    nodes: Mapping[str, DagNode]  # read-only view
     edges: tuple[Edge, ...]
 
     @property
@@ -121,7 +123,7 @@ def decode_topology(doc: TopologyDoc, prev: LayeredDag | None = None) -> Layered
             if agent.id in prev_ids:
                 edges.append(Edge(src=agent.id, dst=agent.id, kind=EdgeKind.SELF_TURN))
 
-    return LayeredDag(turn=turn, layers=layers, nodes=nodes, edges=tuple(edges))
+    return LayeredDag(turn=turn, layers=layers, nodes=MappingProxyType(nodes), edges=tuple(edges))
 
 
 @dataclass(frozen=True)

@@ -57,15 +57,14 @@ def _newline(out: list[str], indent: int | None, depth: int) -> None:
         out.append("\n" + " " * (indent * depth))
 
 
-def _write_seq(obj: Iterable[Any], out: list[str], indent: int | None, depth: int) -> None:
-    items = list(obj)
-    if not items:
+def _write_seq(obj: list | tuple, out: list[str], indent: int | None, depth: int) -> None:
+    if not obj:
         out.append("[]")
         return
     out.append("[")
-    for i, item in enumerate(items):
+    for i, item in enumerate(obj):
         if i:
-            out.append("," if indent is None else ",")
+            out.append(",")
         _newline(out, indent, depth + 1)
         _write(item, out, indent, depth + 1)
     _newline(out, indent, depth)

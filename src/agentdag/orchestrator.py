@@ -27,7 +27,7 @@ from .adapters.base import (
     TokenUsage,
 )
 from .config import RunConfig
-from .dsl import _FENCE_RE, CheckResult, TopologyDoc, check_topology, doc_to_mapping, to_yaml
+from .dsl import CheckResult, TopologyDoc, check_topology, doc_to_mapping, fenced_blocks, to_yaml
 from .graph import DensityReport, EdgeKind, LayeredDag, decode_topology, density_scores
 from .problem import ProblemSpec
 from .rewards import RewardBreakdown, trajectory_return, turn_reward
@@ -141,12 +141,10 @@ class EpisodeResult:
 def extract_code(messages: Sequence[AgentMessage]) -> CodeBlock | None:
     """Latest fenced block wins: scan messages in reverse, last block within one."""
     for message in reversed(messages):
-        blocks = _FENCE_RE.findall(message.content)
+        blocks = fenced_blocks(message.content)
         if blocks:
             label, body = blocks[-1]
-            first_word = label.split()[0].lower() if label.split() else ""
-            language = _LANGUAGE_ALIASES.get(first_word, first_word) or None
-            return CodeBlock(source=body, language=language)
+            return CodeBlock(source=body, language=_LANGUAGE_ALIASES.get(label, label) or None)
     return None
 
 

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
+from .jsonio import read_jsonl
+
 
 @dataclass(frozen=True)
 class TestCase:
@@ -72,12 +74,4 @@ def load_problem(path: str | Path) -> ProblemSpec:
 
 def iter_problems(path: str | Path) -> Iterator[ProblemSpec]:
     """Problems from a JSONL file, one object per line."""
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield ProblemSpec.from_dict(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+    return (ProblemSpec.from_dict(record) for record in read_jsonl(path))

@@ -5,11 +5,24 @@ import random
 import pytest
 from hypothesis import settings
 
+from agentdag.adapters import LocalExecutor
 from agentdag.dsl import AgentSpec, Step, TopologyDoc
 from agentdag.roles import DEFAULT_ROLE_POOL
 
 settings.register_profile("ci", deadline=None, max_examples=60)
 settings.load_profile("ci")
+
+
+class CountingSandbox:
+    """A LocalExecutor that counts the execute() calls reaching it."""
+
+    def __init__(self):
+        self.inner = LocalExecutor()
+        self.runs = 0
+
+    def execute(self, *args, **kwargs):
+        self.runs += 1
+        return self.inner.execute(*args, **kwargs)
 
 
 def make_doc(layers, difficulty: int = 1) -> TopologyDoc:

@@ -22,7 +22,7 @@ from oracles import (
     graph_reward_oracle,
     longest_path_exhaustive,
 )
-from conftest import make_doc, random_strict_dag_doc, random_topology
+from conftest import CountingSandbox, make_doc, random_strict_dag_doc, random_topology
 
 from agentdag.adapters import LocalExecutor, ScriptedPolicy, ScriptedRoleBackend
 from agentdag.adapters.sandbox import HAS_RESOURCE
@@ -336,7 +336,7 @@ def test_07_scripted_episode_suite():
     started = time.monotonic()
 
     # (a) a first-turn pass ends the episode immediately.
-    sandbox = LocalExecutor()
+    sandbox = CountingSandbox()
     result = run_episode(
         ECHO, ScriptedPolicy([fenced(CHAIN)]),
         ScriptedRoleBackend(solutions={"echo": ["print(input())"]}),
@@ -363,7 +363,7 @@ def test_07_scripted_episode_suite():
     assert abs(result.trajectory.return_value - sum(want)) <= 1e-12 * abs(sum(want))
 
     # (c) two turns with no YAML at all: fixed penalties, sandbox untouched.
-    sandbox = LocalExecutor()
+    sandbox = CountingSandbox()
     result = run_episode(
         ECHO, ScriptedPolicy(["working on it", "nearly there"]),
         ScriptedRoleBackend(), sandbox, RunConfig(max_turns=2),

@@ -230,6 +230,21 @@ class TestReward:
         _, out, _ = run_cli(capsys, "reward", path)
         assert '"gamma": 0.90000000000000002' in out
 
+    def test_missing_or_null_weights_mean_one_one(self, tmp_path, capsys):
+        turn = {"verdict": "PASSED", "v_count": 2, "e_count": 1, "s": 2, "difficulty": 1}
+        outputs = []
+        for extra in ({}, {"weights": None}, {"weights": [1, 1]}, {"weights": {}}):
+            path = write(tmp_path, "r.json", json.dumps({"turns": [turn], **extra}))
+            code, out, _ = run_cli(capsys, "reward", path)
+            assert code == 0
+            outputs.append(out)
+        assert len(set(outputs)) == 1
+
+    def test_wrong_length_weights_are_a_usage_error(self, tmp_path, capsys):
+        path = write(tmp_path, "r.json", json.dumps({"weights": [1], "turns": []}))
+        code, _, err = run_cli(capsys, "reward", path)
+        assert code == 2 and "weights must be two numbers" in err
+
     def test_malformed_input_is_a_usage_error(self, tmp_path, capsys):
         path = write(tmp_path, "r.json", json.dumps({"turns": [{"wrong": 1}]}))
         code, _, err = run_cli(capsys, "reward", path)
@@ -376,9 +391,26 @@ class TestRun:
         assert statuses == ["PASSED", "ERROR"]
         assert "episode echo2: ScriptExhausted" in err
 
+    def test_bad_problems_line_names_the_file_and_line(self, run_fixture, capsys):
+        bad = write(run_fixture["tmp"], "bad.jsonl",
+                    json.dumps(echo_problem_dict("echo2")) + "\n\n{oops\n")
+        code, out, err = run_cli(capsys, "run", "--problems", bad,
+                                 "--config", run_fixture["config"],
+                                 "--policy", f"scripted:{run_fixture['bundle']}")
+        assert code == 2 and out == ""
+        assert f"{bad}:3: invalid JSON" in err
+
     def test_no_problems_is_a_usage_error(self, run_fixture, capsys):
         code, _, err = run_cli(capsys, "run", "--config", run_fixture["config"])
         assert code == 2 and "no problems" in err
+
+    @pytest.mark.parametrize("line", ["weights: [1, 2, 3]", "weights: [1, -1]", "eps_clip: 0.2"])
+    def test_rejected_config_is_a_usage_error(self, run_fixture, capsys, line):
+        config = write(run_fixture["tmp"], "bad.yaml", line + "\n")
+        code, out, err = run_cli(capsys, "run", "--problem", run_fixture["problem1"],
+                                 "--config", config,
+                                 "--policy", f"scripted:{run_fixture['bundle']}")
+        assert code == 2 and out == "" and err.startswith("error: ")
 
     def test_missing_config_is_a_usage_error(self, run_fixture, capsys):
         code, _, err = run_cli(capsys, "run", "--problem", run_fixture["problem1"],

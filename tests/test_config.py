@@ -1,4 +1,4 @@
-"""Run configuration: defaults, file loading, overrides, and validation."""
+"""Run configuration: defaults, file loading, weights parsing, and validation."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from agentdag.config import (
     RunConfig,
     config_from_mapping,
     load_config,
+    parse_weights,
 )
 from agentdag.roles import DEFAULT_ROLE_POOL
 
@@ -21,7 +22,6 @@ class TestDefaults:
         assert config.max_turns == 2
         assert config.gamma == 1.0
         assert config.weights == (1.0, 1.0)
-        assert config.group_size == 8
         assert config.role_pool == DEFAULT_ROLE_POOL
         assert config.executor.default_language in config.executor.languages
 
@@ -31,8 +31,8 @@ class TestDefaults:
 
 class TestMappingParsing:
     def test_scalar_overrides(self):
-        config = config_from_mapping({"max_turns": 5, "gamma": 0.9, "beta": 0.01})
-        assert (config.max_turns, config.gamma, config.beta) == (5, 0.9, 0.01)
+        config = config_from_mapping({"max_turns": 5, "gamma": 0.9, "observation_log_cap": 80})
+        assert (config.max_turns, config.gamma, config.observation_log_cap) == (5, 0.9, 80)
 
     def test_weights_as_pair_or_mapping(self):
         assert config_from_mapping({"weights": [2, 3]}).weights == (2.0, 3.0)
@@ -77,6 +77,11 @@ class TestMappingParsing:
         ({"policy": {"kind": "remote"}}, "no url"),
         ({"executor": {"languages": {"go": {}}}}, "needs at least run_cmd"),
         ({"max_turns": "many"}, "invalid config value"),
+        ({"weights": [1, 2, 3]}, "weights must be two numbers"),
+        ({"eps_clip": 0.2}, "unknown config keys"),
+        ({"beta": 0.0}, "unknown config keys"),
+        ({"group_size": 8}, "unknown config keys"),
+        ({"message_tokens": 100}, "unknown config keys"),
     ])
     def test_rejections(self, data, needle):
         with pytest.raises(ConfigError, match=needle):
@@ -88,11 +93,7 @@ class TestValidation:
         ("max_turns", 0),
         ("gamma", 1.5),
         ("gamma", -0.1),
-        ("eps_clip", 0.0),
-        ("beta", -1.0),
-        ("group_size", 1),
         ("difficulty_fallback", 4),
-        ("message_tokens", 0),
         ("observation_log_cap", 0),
     ])
     def test_out_of_range_fields(self, field, value):
@@ -102,6 +103,8 @@ class TestValidation:
     def test_weights_must_be_two_non_negative(self):
         with pytest.raises(ConfigError):
             RunConfig(weights=(1.0, -1.0)).validated()
+        with pytest.raises(ConfigError):
+            config_from_mapping({"weights": {"execution": -1}})
 
     def test_every_pooled_role_needs_a_prompt(self):
         with pytest.raises(ConfigError, match="roles without prompts"):
@@ -110,6 +113,23 @@ class TestValidation:
     def test_default_language_must_have_a_spec(self):
         with pytest.raises(ConfigError, match="no language spec"):
             RunConfig(executor=ExecutorConfig(default_language="lua")).validated()
+
+
+class TestParseWeights:
+    @pytest.mark.parametrize("raw,want", [
+        (None, (1.0, 1.0)),
+        ([2, 3], (2.0, 3.0)),
+        ((0.5, 0), (0.5, 0.0)),
+        ({"graph": 0.5}, (1.0, 0.5)),
+        ({}, (1.0, 1.0)),
+    ])
+    def test_accepted_forms(self, raw, want):
+        assert parse_weights(raw) == want
+
+    @pytest.mark.parametrize("raw", [[], [1.0]])
+    def test_wrong_length_is_rejected(self, raw):
+        with pytest.raises(ValueError, match="two numbers"):
+            parse_weights(raw)
 
 
 class TestLoadConfig:
@@ -128,13 +148,6 @@ class TestLoadConfig:
         path = tmp_path / "empty.yaml"
         path.write_text("", encoding="utf-8")
         assert load_config(path) == RunConfig().validated()
-
-    def test_overrides_beat_the_file_and_skip_none(self, tmp_path):
-        path = tmp_path / "run.yaml"
-        path.write_text("max_turns: 4\ngamma: 0.5\n", encoding="utf-8")
-        config = load_config(path, overrides={"max_turns": 9, "gamma": None})
-        assert config.max_turns == 9
-        assert config.gamma == 0.5  # None overrides are ignored
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):

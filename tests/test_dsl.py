@@ -19,6 +19,7 @@ from agentdag.dsl import (
     check_yaml,
     doc_to_mapping,
     extract_yaml_block,
+    fenced_blocks,
     parse_topology,
     to_yaml,
     validate_logic,
@@ -46,6 +47,13 @@ def fenced(body: str, label: str = "yaml") -> str:
 
 
 class TestExtraction:
+    def test_fenced_blocks_pairs_lowercased_first_word_with_body(self):
+        text = ("```YAML topology\na: 1\n```\n```\nbare\n```\n"
+                "```  Python3 main.py \r\nprint(1)\r\n```\n```unterminated\nx")
+        assert fenced_blocks(text) == [("yaml", "a: 1"), ("", "bare"),
+                                       ("python3", "print(1)")]
+        assert fenced_blocks("no fences") == []
+
     def test_labeled_yaml_block(self):
         assert extract_yaml_block(fenced(VALID_YAML)) == VALID_YAML.rstrip("\n")
 

@@ -141,6 +141,14 @@ class TestDecode:
         assert dag.nodes["b"].layer == 2
         assert dag.nodes["a"].role == "planning"
 
+    def test_nodes_are_read_only(self):
+        dag = decode_topology(make_doc([[("a", "planning", [])]]), None)
+        with pytest.raises(TypeError):
+            dag.nodes["x"] = dag.nodes["a"]
+        with pytest.raises(TypeError):
+            del dag.nodes["a"]
+        assert list(dag.nodes) == ["a"]
+
     def test_current_turn_resolution_wins_over_previous(self):
         turn1 = decode_topology(make_doc([[("shared", "planning", [])]]), None)
         doc2 = make_doc([[("shared", "planning", [])], [("b", "coding", ["shared"])]])

@@ -1,0 +1,41 @@
+"""Module boundaries: no agentdag module imports another one's private names.
+
+A private name shared across modules is a second copy of one module's
+internals waiting to happen; anything another module needs gets a public name.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import agentdag
+
+PACKAGE_ROOT = Path(agentdag.__file__).parent
+
+
+def private_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        internal = node.level > 0 or (node.module or "").split(".")[0] == "agentdag"
+        if not internal:
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_"):
+                source = "." * node.level + (node.module or "")
+                found.append(f"{path.relative_to(PACKAGE_ROOT)}:{node.lineno}: "
+                             f"{alias.name} from {source}")
+    return found
+
+
+def test_modules_are_found():
+    assert len(list(PACKAGE_ROOT.rglob("*.py"))) > 10
+
+
+def test_no_module_imports_a_private_name_from_another():
+    offenders = [hit for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+                 for hit in private_imports(path)]
+    assert offenders == []

@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from conftest import CountingSandbox
 from oracles import graph_reward_oracle
 
 from agentdag.adapters import (
@@ -281,7 +282,7 @@ class TestHistoryPrompt:
 
 class TestEpisodes:
     def test_pass_on_first_turn_stops_early(self):
-        sandbox = LocalExecutor()
+        sandbox = CountingSandbox()
         result = run_episode(
             ECHO,
             ScriptedPolicy([fenced(PLAN_CODE)]),  # a second call would exhaust
@@ -358,7 +359,7 @@ class TestEpisodes:
         assert coder_turn2 == ["problem", "memory (turn 1)", "planner (planning)"]
 
     def test_no_yaml_twice_never_touches_the_sandbox(self):
-        sandbox = LocalExecutor()
+        sandbox = CountingSandbox()
         result = run_episode(
             ECHO,
             ScriptedPolicy(["thinking...", "still thinking..."]),
@@ -399,7 +400,7 @@ class TestEpisodes:
         assert len(result.trajectory.turns) == 3
 
     def test_no_code_block_is_judged_without_the_sandbox(self):
-        sandbox = LocalExecutor()
+        sandbox = CountingSandbox()
         result = run_episode(
             ECHO,
             ScriptedPolicy([fenced(PLAN_ONLY)]),
