@@ -135,6 +135,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 def _cmd_reward(args: argparse.Namespace) -> int:
     data = json.loads(_read_text(args.file))
+    if not isinstance(data, dict):
+        raise ValueError("malformed reward input: expected a JSON object")
     try:
         gamma = float(data.get("gamma", 1.0))
         weights = parse_weights(data.get("weights"))
@@ -180,6 +182,8 @@ def _cmd_grpo_surrogate(args: argparse.Namespace) -> int:
         advantages = [float(a) for a in data["advantages"]]
         batch = []
         for traj in data["trajectories"]:
+            if not isinstance(traj, dict):
+                raise ValueError("malformed surrogate input: each trajectory must be an object")
             mask = traj.get("mask")
             batch.append(TrajectoryLogProbs(
                 new=tuple(float(x) for x in traj["new"]),

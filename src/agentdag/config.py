@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Mapping
 
 import yaml
@@ -53,10 +54,37 @@ class LanguageSpec:
     source_name: str = "main.txt"
 
 
+# Runs the candidate file as ``python3 FILE`` would, in an interpreter started
+# with -I -S: no site-packages, so no .pth hook runs at every start-up, and no
+# environment or user paths. -S also drops the exit/quit builtins, so they are
+# bound to sys.exit. The recursion limit grows by the two frames that the
+# prelude puts below the candidate's own, and an uncaught exception is
+# reported without the prelude's frame, so deep recursion and runtime error
+# logs behave as for ``python3 FILE``. The executor str.formats every run_cmd
+# argument, so the prelude holds no braces.
+_PYTHON_PRELUDE = """\
+import builtins, sys
+builtins.exit = builtins.quit = sys.exit
+sys.setrecursionlimit(sys.getrecursionlimit() + 2)
+src = sys.argv[1]
+sys.argv = [src]
+main = sys.modules['__main__'] = type(sys)('__main__')
+main.__file__ = src
+with open(src, 'rb') as f:
+    code = compile(f.read(), src, 'exec')
+try:
+    exec(code, vars(main))
+except Exception as e:
+    e.__traceback__ = e.__traceback__.tb_next
+    sys.excepthook(type(e), e, e.__traceback__)
+    sys.exit(1)
+"""
+
+
 def _default_languages() -> dict[str, LanguageSpec]:
     return {
         "python": LanguageSpec(
-            run_cmd=("python3", "{src}"),
+            run_cmd=("python3", "-I", "-S", "-c", _PYTHON_PRELUDE, "{src}"),
             compile_cmd=None,  # syntax-checked in-process by the executor
             source_name="main.py",
         ),
@@ -72,6 +100,10 @@ class ExecutorConfig:
     default_language: str = "python"
     languages: Mapping[str, LanguageSpec] = field(default_factory=_default_languages)
 
+    def __post_init__(self):
+        # Read-only, so no runner can change a language for its sharers.
+        object.__setattr__(self, "languages", MappingProxyType(dict(self.languages)))
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -86,6 +118,10 @@ class RunConfig:
     policy: AdapterEndpoint = field(default_factory=AdapterEndpoint)
     roles: AdapterEndpoint = field(default_factory=AdapterEndpoint)
     executor: ExecutorConfig = field(default_factory=ExecutorConfig)
+
+    def __post_init__(self):
+        # Read-only, so no runner can change a prompt for its sharers.
+        object.__setattr__(self, "role_prompts", MappingProxyType(dict(self.role_prompts)))
 
     def validated(self) -> "RunConfig":
         if self.max_turns < 1:
@@ -114,7 +150,12 @@ def parse_weights(raw: Any) -> tuple[float, float]:
     if raw is None:
         return (1.0, 1.0)
     if isinstance(raw, Mapping):
+        unknown = set(raw) - {"execution", "graph"}
+        if unknown:
+            raise ValueError(f"unknown weights keys: {sorted(map(str, unknown))}")
         return (float(raw.get("execution", 1.0)), float(raw.get("graph", 1.0)))
+    if isinstance(raw, (str, bytes)):
+        raise ValueError("weights must be two numbers (execution, graph), not a string")
     weights = tuple(float(w) for w in raw)
     if len(weights) != 2:
         raise ValueError("weights must be two numbers (execution, graph)")

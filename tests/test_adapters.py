@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
 import json
 import os
+import re
+import subprocess
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import agentdag
 from agentdag.adapters import (
     AdapterError,
     AgentRequest,
@@ -26,7 +33,7 @@ from agentdag.adapters import (
     estimate_tokens,
 )
 from agentdag.adapters.sandbox import HAS_RESOURCE
-from agentdag.config import AdapterEndpoint, ExecutorConfig
+from agentdag.config import AdapterEndpoint, ExecutorConfig, config_from_mapping
 from agentdag.problem import ProblemSpec, TestCase
 from agentdag.verdicts import (
     FAILURE_PRIORITY,
@@ -281,6 +288,181 @@ class TestLocalExecutor:
         outcome = executor.execute("print(input())", None, ECHO_PROBLEM.tests,
                                    time_limit_ms=4000, memory_limit_mb=256)
         assert outcome.verdict is Verdict.PASSED
+
+
+def live_session_members(sid: int) -> list[int]:
+    """Pids of the processes in session ``sid`` that have not exited."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path("/proc", entry, "stat").read_text()
+        except OSError:  # exited while we looked
+            continue
+        fields = stat.rsplit(")", 1)[1].split()
+        state, session = fields[0], int(fields[3])
+        if session == sid and state not in ("Z", "X"):
+            members.append(int(entry))
+    return members
+
+
+class TestJudgeIsolation:
+    """Output bounds, leftover processes, and what a candidate sees."""
+
+    def test_flooding_program_keeps_the_judge_memory_bounded(self):
+        # The judge runs in a child interpreter, so its peak RSS is its own.
+        script = (
+            "import resource\n"
+            "from agentdag.adapters import LocalExecutor\n"
+            "from agentdag.problem import TestCase\n"
+            "flood = 'import sys\\nwhile True:\\n    sys.stdout.write(\"x\" * 65536)\\n'\n"
+            "outcome = LocalExecutor().execute(flood, 'python', [TestCase('', '')],\n"
+            "                                  time_limit_ms=300, memory_limit_mb=256)\n"
+            "print(outcome.verdict.value,\n"
+            "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        )
+        src_root = str(Path(agentdag.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src_root), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        verdict, max_rss_kb = proc.stdout.split()
+        assert verdict == "TIME_LIMIT_EXCEEDED"
+        assert int(max_rss_kb) < 100 * 1024
+
+    def test_output_past_the_cap_is_clipped_and_does_not_block(self):
+        executor = LocalExecutor(ExecutorConfig(max_output_bytes=1000))
+        outcome = executor.execute("print('x' * 300000)", "python",
+                                   [TestCase(input="", expected_output="x")],
+                                   time_limit_ms=4000, memory_limit_mb=256)
+        assert outcome.verdict is Verdict.WRONG_ANSWER
+        assert "'" + "x" * 200 + "…'" in outcome.logs  # clipped for the log too
+        assert outcome.per_test[0].actual_prefix == "x" * 160
+
+    def test_undecodable_output_is_judged_not_raised(self):
+        source = "import sys\nsys.stdout.buffer.write(b'\\xff\\r\\n')\n"
+        outcome = LocalExecutor().execute(source, "python",
+                                          [TestCase(input="", expected_output="x")],
+                                          time_limit_ms=4000, memory_limit_mb=256)
+        assert outcome.verdict is Verdict.WRONG_ANSWER
+        assert outcome.per_test[0].actual_prefix == "\ufffd\n"
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs procfs")
+    def test_leftover_child_is_killed_and_does_not_hold_the_verdict(self, tmp_path):
+        report = tmp_path / "session"
+        source = (
+            "import os, subprocess, sys\n"
+            "child = subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(3)'])\n"
+            f"open({str(report)!r}, 'w').write(f'{{os.getsid(0)}} {{child.pid}}')\n"
+            "print(input())\n"
+        )
+        started = time.monotonic()
+        outcome = LocalExecutor().execute(source, "python",
+                                          [TestCase(input="hi\n", expected_output="hi\n")],
+                                          time_limit_ms=1000, memory_limit_mb=256)
+        elapsed = time.monotonic() - started
+        assert outcome.verdict is Verdict.PASSED
+        assert elapsed < 0.7
+        sid, child_pid = map(int, report.read_text().split())
+        assert sid != os.getsid(0)  # the candidate led a session of its own
+        deadline = time.monotonic() + 1  # well before the child's sleep ends
+        while live_session_members(sid) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert live_session_members(sid) == []
+
+    def test_candidate_runs_in_the_workdir_with_a_minimal_environment(self, monkeypatch):
+        monkeypatch.setenv("PYTHONPATH", "/nowhere")
+        monkeypatch.setenv("AGENTDAG_TEST_KEY", "secret")
+        monkeypatch.setenv("LANG", "C.UTF-8")
+        source = ("import os\n"
+                  "print(os.getcwd() == os.path.dirname(__file__))\n"
+                  "print(sorted(os.environ))\n")
+        outcome = LocalExecutor().execute(source, "python",
+                                          [TestCase(input="", expected_output="")],
+                                          time_limit_ms=4000, memory_limit_mb=256)
+        in_workdir, env_line = outcome.per_test[0].actual_prefix.splitlines()
+        assert in_workdir == "True"
+        keys = set(ast.literal_eval(env_line))
+        assert {"PATH", "LANG"} <= keys <= {"PATH", "LANG", "LC_CTYPE"}
+
+
+class TestDefaultPythonCommand:
+    """The default python run_cmd: no site, but a script's usual surroundings."""
+
+    def judge(self, source: str, stdin: str = "", expected: str = ""):
+        return LocalExecutor().execute(source, "python",
+                                       [TestCase(input=stdin, expected_output=expected)],
+                                       time_limit_ms=4000, memory_limit_mb=256)
+
+    @pytest.mark.parametrize("stop", ["exit()", "quit()", "exit(0)", "raise SystemExit"])
+    def test_exit_and_quit_end_a_site_free_program(self, stop):
+        source = ("import sys\n"
+                  "print(sys.flags.no_site, sys.flags.isolated, input())\n"
+                  f"{stop}\n"
+                  "print('unreachable')\n")
+        outcome = self.judge(source, stdin="ok\n", expected="1 1 ok\n")
+        assert outcome.verdict is Verdict.PASSED, outcome.logs
+
+    @pytest.mark.parametrize("stop,code", [("exit(3)", 3), ("quit(2)", 2), ("exit('bye')", 1)])
+    def test_exit_codes_are_kept(self, stop, code):
+        outcome = self.judge(f"import sys\nsys.flags.no_site or sys.exit(9)\n{stop}\n")
+        assert outcome.verdict is Verdict.RUNTIME_ERROR
+        assert f"runtime error (exit {code})" in outcome.logs
+
+    def test_runs_as_main_with_the_source_as_argv0(self):
+        source = ("import sys\n"
+                  "print(__name__, sys.argv == [__file__], sys.argv[0].endswith('main.py'))\n"
+                  "import __main__\n"
+                  "print(__main__.__name__, __main__.__file__ == __file__)\n")
+        outcome = self.judge(source, expected="__main__ True True\n__main__ True\n")
+        assert outcome.verdict is Verdict.PASSED, outcome.per_test[0].actual_prefix
+
+    def test_recursion_reaches_as_deep_as_in_a_plain_script(self, tmp_path):
+        script = tmp_path / "main.py"
+        for depth in range(994, 1000):
+            source = ("def down(n):\n"
+                      "    return 0 if n == 0 else 1 + down(n - 1)\n"
+                      f"print(down({depth}))\n")
+            script.write_text(source, encoding="utf-8")
+            plain = subprocess.run([sys.executable, str(script)], capture_output=True,
+                                   timeout=30)
+            judged = self.judge(source, expected=f"{depth}\n")
+            assert (judged.verdict is Verdict.PASSED) == (plain.returncode == 0), depth
+
+    def test_traceback_reads_as_for_a_plain_script(self, tmp_path):
+        source = ("def half(n):\n"
+                  "    return 1 // n\n"
+                  "print(half(int(input())))\n")
+        outcome = self.judge(source, stdin="0\n")
+        assert outcome.verdict is Verdict.RUNTIME_ERROR
+        assert "<string>" not in outcome.logs
+        logged = outcome.logs.split("stderr: ", 1)[1]
+
+        script = tmp_path / "main.py"
+        script.write_text(source, encoding="utf-8")
+        plain = subprocess.run([sys.executable, str(script)], input="0\n", capture_output=True,
+                               text=True, timeout=30)
+        assert plain.returncode == 1
+
+        def lines(text: str) -> list[str]:
+            return re.sub(r'File "[^"]*main\.py"', 'File "main.py"', text.strip()).splitlines()
+
+        assert lines(logged) == lines(plain.stderr)
+        assert lines(logged)[-1] == "ZeroDivisionError: integer division or modulo by zero"
+
+    def test_site_packages_are_out_of_reach_unless_the_command_is_overridden(self):
+        pytest.importorskip("yaml")  # installed for the judge, not for candidates
+        source = "import yaml\nprint('loaded')\n"
+        outcome = self.judge(source, expected="loaded\n")
+        assert outcome.verdict is Verdict.RUNTIME_ERROR
+        assert "ModuleNotFoundError: No module named 'yaml'" in outcome.logs
+
+        plain = {"python": {"run_cmd": ["python3", "{src}"], "source_name": "main.py"}}
+        config = config_from_mapping({"executor": {"languages": plain}})
+        outcome = LocalExecutor(config.executor).execute(
+            source, "python", [TestCase(input="", expected_output="loaded\n")],
+            time_limit_ms=4000, memory_limit_mb=256)
+        assert outcome.verdict is Verdict.PASSED, outcome.logs
 
 
 # -- remote loopback -----------------------------------------------------------

@@ -250,6 +250,11 @@ class TestReward:
         code, _, err = run_cli(capsys, "reward", path)
         assert code == 2 and "error:" in err
 
+    def test_non_object_input_is_a_usage_error(self, tmp_path, capsys):
+        path = write(tmp_path, "r.json", "[1]")
+        code, _, err = run_cli(capsys, "reward", path)
+        assert code == 2 and "error: malformed reward input" in err
+
     def test_unparseable_json_is_a_usage_error(self, tmp_path, capsys):
         path = write(tmp_path, "r.json", "{not json")
         code, _, err = run_cli(capsys, "reward", path)
@@ -307,6 +312,11 @@ class TestGrpo:
         assert payload["eps_clip"] == pytest.approx(0.3)
         assert payload["beta"] == pytest.approx(0.5)  # file value survives
         assert payload["kl_pooling"] == "trajectory"
+
+    def test_non_object_trajectory_is_a_usage_error(self, tmp_path, capsys):
+        path = write(tmp_path, "s.json", json.dumps({"advantages": [1.0], "trajectories": [1]}))
+        code, _, err = run_cli(capsys, "grpo", "surrogate", path)
+        assert code == 2 and "error: malformed surrogate input" in err
 
     def test_invalid_pooling_choice_is_a_usage_error(self, tmp_path, capsys):
         path = write(tmp_path, "s.json", "{}")

@@ -78,6 +78,8 @@ class TestMappingParsing:
         ({"executor": {"languages": {"go": {}}}}, "needs at least run_cmd"),
         ({"max_turns": "many"}, "invalid config value"),
         ({"weights": [1, 2, 3]}, "weights must be two numbers"),
+        ({"weights": "12"}, "not a string"),
+        ({"weights": {"exec": 3, "grap": 0}}, "unknown weights keys"),
         ({"eps_clip": 0.2}, "unknown config keys"),
         ({"beta": 0.0}, "unknown config keys"),
         ({"group_size": 8}, "unknown config keys"),
@@ -110,6 +112,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match="roles without prompts"):
             RunConfig(role_pool=("coding", "mystery")).validated()
 
+    def test_prompts_and_languages_are_read_only(self):
+        prompts = {"coding": "write code"}
+        configs = [RunConfig().validated(),
+                   RunConfig(role_pool=("coding",), role_prompts=prompts).validated(),
+                   config_from_mapping({"role_prompts": prompts,
+                                        "executor": {"languages": {"lua": {"run_cmd": ["lua"]}}}})]
+        for config in configs:
+            with pytest.raises(TypeError):
+                config.role_prompts["coding"] = "x"
+            with pytest.raises(TypeError):
+                config.executor.languages["python"] = config.executor.languages["python"]
+        prompts["coding"] = "changed by the caller"
+        assert configs[1].role_prompts["coding"] == "write code"
+
     def test_default_language_must_have_a_spec(self):
         with pytest.raises(ConfigError, match="no language spec"):
             RunConfig(executor=ExecutorConfig(default_language="lua")).validated()
@@ -129,6 +145,16 @@ class TestParseWeights:
     @pytest.mark.parametrize("raw", [[], [1.0]])
     def test_wrong_length_is_rejected(self, raw):
         with pytest.raises(ValueError, match="two numbers"):
+            parse_weights(raw)
+
+    @pytest.mark.parametrize("raw", ["12", b"12", "1"])
+    def test_a_string_is_rejected_not_split(self, raw):
+        with pytest.raises(ValueError, match="not a string"):
+            parse_weights(raw)
+
+    @pytest.mark.parametrize("raw", [{"exec": 3, "grap": 0}, {"execution": 1, "graphs": 2}])
+    def test_unknown_mapping_keys_are_rejected(self, raw):
+        with pytest.raises(ValueError, match="unknown weights keys"):
             parse_weights(raw)
 
 
