@@ -78,12 +78,12 @@ class TestMappingParsing:
         ({"executor": {"languages": {"go": {}}}}, "needs at least run_cmd"),
         ({"max_turns": "many"}, "invalid config value"),
         ({"weights": [1, 2, 3]}, "weights must be two numbers"),
-        ({"weights": "12"}, "not a string"),
-        ({"weights": {"exec": 3, "grap": 0}}, "unknown weights keys"),
         ({"eps_clip": 0.2}, "unknown config keys"),
         ({"beta": 0.0}, "unknown config keys"),
         ({"group_size": 8}, "unknown config keys"),
         ({"message_tokens": 100}, "unknown config keys"),
+        ({"weights": "12"}, "not a string"),
+        ({"weights": {"exec": 3, "grap": 0}}, "unknown weights keys"),
     ])
     def test_rejections(self, data, needle):
         with pytest.raises(ConfigError, match=needle):
