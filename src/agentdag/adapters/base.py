@@ -52,8 +52,6 @@ class AgentRequest:
     agent_id: str
     turn: int
     problem_id: str
-    temperature: float = 0.0
-    max_tokens: int = 2048
 
 
 @dataclass(frozen=True)

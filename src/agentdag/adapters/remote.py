@@ -8,9 +8,10 @@ Response: {"choices": [{"message": {"content": ...}}],
 
 from __future__ import annotations
 
+import http.client
 import json
-
-import requests
+import urllib.error
+import urllib.request
 
 from ..config import AdapterEndpoint
 from ..problem import ProblemSpec
@@ -18,11 +19,12 @@ from .base import AdapterError, AgentRequest, AgentResponse, TokenUsage
 
 
 class _ChatClient:
-    def __init__(self, endpoint: AdapterEndpoint, session: requests.Session | None = None):
-        if not endpoint.url:
-            raise AdapterError("remote adapter requires an endpoint url")
+    def __init__(self, endpoint: AdapterEndpoint):
+        # urllib would also open file: and ftp: urls; an endpoint is http(s).
+        if not (endpoint.url or "").lower().startswith(("http://", "https://")):
+            raise AdapterError(f"remote adapter requires an http(s) endpoint url, "
+                               f"not {endpoint.url!r}")
         self._endpoint = endpoint
-        self._session = session or requests.Session()
 
     def complete(self, messages: list[dict]) -> AgentResponse:
         payload = {
@@ -31,6 +33,7 @@ class _ChatClient:
             "temperature": self._endpoint.temperature,
             "max_tokens": self._endpoint.max_tokens,
         }
+        data = json.dumps(payload).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         api_key = self._endpoint.resolve_api_key()
         if api_key:
@@ -40,27 +43,31 @@ class _ChatClient:
         last_error: Exception | None = None
         for _ in range(attempts):
             try:
-                response = self._session.post(
-                    self._endpoint.url,
-                    json=payload,
-                    headers=headers,
-                    timeout=self._endpoint.timeout_s,
-                )
-                if response.status_code >= 500:
-                    last_error = AdapterError(
-                        f"server error {response.status_code} from {self._endpoint.url}"
-                    )
-                    continue
-                if response.status_code != 200:
-                    raise AdapterError(
-                        f"request rejected ({response.status_code}): {response.text[:200]}"
-                    )
-                return self._parse(response.text)
-            except requests.RequestException as exc:
+                status, body = self._post(data, headers)
+            except (OSError, http.client.HTTPException) as exc:  # transport, timeouts
                 last_error = exc
+                continue
+            if status >= 500:
+                last_error = AdapterError(f"server error {status} from {self._endpoint.url}")
+                continue
+            text = body.decode("utf-8", "replace")
+            if status != 200:
+                raise AdapterError(f"request rejected ({status}): {text[:200]}")
+            return self._parse(text)
         raise AdapterError(
             f"no response from {self._endpoint.url} after {attempts} attempts: {last_error}"
         )
+
+    def _post(self, data: bytes, headers: dict[str, str]) -> tuple[int, bytes]:
+        """One attempt on a connection of its own: (status, body)."""
+        request = urllib.request.Request(self._endpoint.url, data=data, headers=headers,
+                                         method="POST")
+        try:
+            with urllib.request.urlopen(request, timeout=self._endpoint.timeout_s) as response:
+                return response.status, response.read()
+        except urllib.error.HTTPError as exc:  # a status outside 2xx
+            with exc:
+                return exc.code, exc.read()
 
     @staticmethod
     def _parse(body: str) -> AgentResponse:
@@ -82,9 +89,8 @@ class _ChatClient:
 class RemotePolicy(_ChatClient):
     """The orchestrator policy served by a chat-completion endpoint."""
 
-    def __init__(self, endpoint: AdapterEndpoint, session: requests.Session | None = None,
-                 *, system: str | None = None):
-        super().__init__(endpoint, session)
+    def __init__(self, endpoint: AdapterEndpoint, *, system: str | None = None):
+        super().__init__(endpoint)
         self._system = system
 
     def generate(self, problem: ProblemSpec, history_prompt: str) -> AgentResponse:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import resource
 import selectors
 import signal
 import subprocess
@@ -17,14 +18,6 @@ from ..config import ExecutorConfig, LanguageSpec
 from ..problem import TestCase
 from ..verdicts import ExecOutcome, TestResult, Verdict, classify_verdict, outputs_match
 from .base import SandboxError
-
-try:
-    import resource
-
-    HAS_RESOURCE = True
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    resource = None  # type: ignore[assignment]
-    HAS_RESOURCE = False
 
 _ACTUAL_PREFIX_CHARS = 160
 _COMPILE_TIMEOUT_S = 30.0
@@ -54,8 +47,7 @@ def _child_setup(memory_limit_mb: int, pid_fd: int):
 
     def apply():
         os.write(pid_fd, os.getpid().to_bytes(4, "little"))
-        if HAS_RESOURCE:
-            resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
 
     return apply
 
@@ -164,9 +156,7 @@ class LocalExecutor:
     workdir, with only ``PATH`` and ``LANG`` of the caller's environment; its
     output is read as it comes and kept up to ``max_output_bytes``.
     Compilations are serialized per language toolchain; concurrent
-    ``execute`` calls are throttled by the configured worker cap. When the
-    platform cannot enforce memory limits, would-be memory verdicts degrade
-    to RUNTIME_ERROR and the logs say so.
+    ``execute`` calls are throttled by the configured worker cap. POSIX only.
     """
 
     def __init__(self, config: ExecutorConfig | None = None):
@@ -179,8 +169,7 @@ class LocalExecutor:
     # -- public API ---------------------------------------------------------
 
     def execute(self, source: str, language: str | None, tests: Sequence[TestCase], *,
-                time_limit_ms: int | None = None,
-                memory_limit_mb: int | None = None) -> ExecOutcome:
+                time_limit_ms: int, memory_limit_mb: int) -> ExecOutcome:
         if not source.strip():
             raise SandboxError("refusing to judge an empty program")
         if not tests:
@@ -189,8 +178,6 @@ class LocalExecutor:
         spec = self.config.languages.get(tag)
         if spec is None:
             raise SandboxError(f"no toolchain configured for language {tag!r}")
-        time_limit_ms = time_limit_ms or self.config.time_limit_ms
-        memory_limit_mb = memory_limit_mb or self.config.memory_limit_mb
 
         with self._workers:
             return self._judge(source, tag, spec, tests, time_limit_ms, memory_limit_mb)
@@ -303,18 +290,9 @@ class LocalExecutor:
         stderr = _decode(err)
 
         if returncode != 0:
-            memory_blown = "MemoryError" in stderr or (
-                HAS_RESOURCE and returncode == -signal.SIGKILL
-            )
-            if memory_blown and HAS_RESOURCE:
+            if "MemoryError" in stderr or returncode == -signal.SIGKILL:
                 log_lines.append(f"test {index}: memory limit exceeded ({memory_limit_mb} MB)")
                 return TestResult(index=index, status=Verdict.MEMORY_LIMIT_EXCEEDED)
-            if memory_blown:
-                log_lines.append(
-                    f"test {index}: runtime error; memory caps are unenforced on this "
-                    "platform, so a memory verdict cannot be distinguished"
-                )
-                return TestResult(index=index, status=Verdict.RUNTIME_ERROR)
             log_lines.append(
                 f"test {index}: runtime error (exit {returncode}); "
                 f"stderr: {_clip(stderr.strip(), 400)}"

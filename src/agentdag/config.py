@@ -93,8 +93,6 @@ def _default_languages() -> dict[str, LanguageSpec]:
 
 @dataclass(frozen=True)
 class ExecutorConfig:
-    time_limit_ms: int = 2000
-    memory_limit_mb: int = 512
     max_output_bytes: int = 65536
     workers: int = 4
     default_language: str = "python"
@@ -135,7 +133,7 @@ class RunConfig:
         if self.observation_log_cap < 1:
             raise ConfigError("observation_log_cap must be >= 1")
         ex = self.executor
-        if min(ex.time_limit_ms, ex.memory_limit_mb, ex.max_output_bytes, ex.workers) < 1:
+        if min(ex.max_output_bytes, ex.workers) < 1:
             raise ConfigError("executor limits must all be >= 1")
         if ex.default_language not in ex.languages:
             raise ConfigError(f"default language {ex.default_language!r} has no language spec")
@@ -190,8 +188,7 @@ def _languages_from(data: Mapping[str, Any]) -> dict[str, LanguageSpec]:
 
 
 def _executor_from(data: Mapping[str, Any]) -> ExecutorConfig:
-    allowed = {"time_limit_ms", "memory_limit_mb", "max_output_bytes", "workers",
-               "default_language", "languages"}
+    allowed = {"max_output_bytes", "workers", "default_language", "languages"}
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"unknown keys under executor: {sorted(unknown)}")

@@ -420,8 +420,6 @@ class EpisodeRunner:
             agent_id=agent_id,
             turn=turn,
             problem_id=problem.id,
-            temperature=self.config.roles.temperature,
-            max_tokens=self.config.roles.max_tokens,
         )
 
 

@@ -25,7 +25,6 @@ from oracles import (
 from conftest import CountingSandbox, make_doc, random_strict_dag_doc, random_topology
 
 from agentdag.adapters import LocalExecutor, ScriptedPolicy, ScriptedRoleBackend
-from agentdag.adapters.sandbox import HAS_RESOURCE
 from agentdag.config import RunConfig
 from agentdag.corpus import CorpusRecord, filter_corpus
 from agentdag.dsl import ErrorClass, check_topology
@@ -409,15 +408,9 @@ def test_08_sandbox_produces_every_verdict():
                       time_limit_ms=1000) is Verdict.TIME_LIMIT_EXCEEDED
     assert verdict_of("raise SystemExit(9)") is Verdict.RUNTIME_ERROR
     assert verdict_of("def oops(:\n    pass") is Verdict.COMPILATION_ERROR
-    if HAS_RESOURCE:
-        assert verdict_of("x = bytearray(512 * 1024 * 1024)\nprint(5)",
-                          memory_limit_mb=64) is Verdict.MEMORY_LIMIT_EXCEEDED
-        covered = "all six verdicts"
-    else:  # pragma: no cover - platform-dependent branch
-        print("NOTE [8] memory caps unenforceable on this platform; "
-              "MEMORY_LIMIT_EXCEEDED fixture skipped")
-        covered = "five verdicts (memory cap unenforceable here)"
-    stamp(8, "sandbox verdict fixtures", started, 60.0, covered)
+    assert verdict_of("x = bytearray(512 * 1024 * 1024)\nprint(5)",
+                      memory_limit_mb=64) is Verdict.MEMORY_LIMIT_EXCEEDED
+    stamp(8, "sandbox verdict fixtures", started, 60.0, "all six verdicts")
 
 
 # -- 9. corpus filter ----------------------------------------------------------------

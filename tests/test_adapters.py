@@ -7,11 +7,12 @@ import itertools
 import json
 import os
 import re
+import socket
 import subprocess
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -32,7 +33,6 @@ from agentdag.adapters import (
     ScriptedRoleBackend,
     estimate_tokens,
 )
-from agentdag.adapters.sandbox import HAS_RESOURCE
 from agentdag.config import AdapterEndpoint, ExecutorConfig, config_from_mapping
 from agentdag.problem import ProblemSpec, TestCase
 from agentdag.verdicts import (
@@ -224,7 +224,6 @@ class TestLocalExecutor:
         assert outcome.verdict is Verdict.TIME_LIMIT_EXCEEDED
         assert "time limit exceeded (1000 ms)" in outcome.logs
 
-    @pytest.mark.skipif(not HAS_RESOURCE, reason="platform cannot enforce memory caps")
     def test_memory_limit_exceeded(self):
         outcome = self.run_source("x = bytearray(512 * 1024 * 1024)\nprint('done')",
                                   memory_limit_mb=64)
@@ -474,6 +473,8 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.server.requests.append(
             {"body": body, "auth": self.headers.get("Authorization")}
         )
+        if self.server.delays:
+            time.sleep(self.server.delays.pop(0))
         status = self.server.plan.pop(0) if self.server.plan else 200
         if status != 200:
             data = b"stub failure"
@@ -500,20 +501,35 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def stub_server():
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
+def _serve(server_class):
+    server = server_class(("127.0.0.1", 0), _StubHandler)
     server.requests = []
     server.plan = []
+    server.delays = []  # seconds to stall before answering, one per request
     server.reply_fn = lambda body: "stub reply"
     server.raw_body = None
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A client that gave up on a stalled answer has closed its end.
+    server.handle_error = lambda request, address: None
+    # A short poll interval, so that shutdown() does not wait half a second.
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     try:
         yield server
     finally:
         server.shutdown()
         server.server_close()
+
+
+@pytest.fixture
+def stub_server():
+    yield from _serve(HTTPServer)
+
+
+@pytest.fixture
+def threading_stub_server():
+    """Answers each request on a thread of its own, so a stalled answer does
+    not hold up the client's retry."""
+    yield from _serve(ThreadingHTTPServer)
 
 
 def endpoint_for(server: HTTPServer, **kwargs) -> AdapterEndpoint:
@@ -589,3 +605,23 @@ class TestRemoteAdapters:
     def test_missing_url_rejected(self):
         with pytest.raises(AdapterError):
             RemotePolicy(AdapterEndpoint(kind="remote", url=None))
+
+    @pytest.mark.parametrize("url", ["file:///etc/hostname", "ftp://h/v1", "h:8000/v1"])
+    def test_non_http_url_rejected(self, url):
+        with pytest.raises(AdapterError, match="http"):
+            RemoteRoleBackend(AdapterEndpoint(kind="remote", url=url))
+
+    def test_refused_connection_is_retried_then_adapter_error(self):
+        with socket.socket() as probe:  # a port that nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        endpoint = AdapterEndpoint(kind="remote", url=f"http://127.0.0.1:{port}/v1/chat",
+                                   timeout_s=2.0, retries=2)
+        with pytest.raises(AdapterError, match=r"no response from .* after 3 attempts"):
+            RemotePolicy(endpoint).generate(ECHO_PROBLEM, "p")
+
+    def test_answer_slower_than_the_timeout_is_retried(self, threading_stub_server):
+        threading_stub_server.delays = [2.0]
+        policy = RemotePolicy(endpoint_for(threading_stub_server, timeout_s=0.5, retries=1))
+        assert policy.generate(ECHO_PROBLEM, "p").content == "stub reply"
+        assert len(threading_stub_server.requests) == 2

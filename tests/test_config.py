@@ -60,11 +60,11 @@ class TestMappingParsing:
     def test_executor_block_with_custom_language(self):
         config = config_from_mapping({
             "executor": {
-                "time_limit_ms": 500,
+                "max_output_bytes": 500,
                 "languages": {"lua": {"run_cmd": ["lua", "{src}"]}},
             },
         })
-        assert config.executor.time_limit_ms == 500
+        assert config.executor.max_output_bytes == 500
         assert config.executor.languages["lua"].run_cmd == ("lua", "{src}")
         assert config.executor.languages["lua"].source_name == "main.lua"
         assert "python" in config.executor.languages  # defaults survive
@@ -84,6 +84,7 @@ class TestMappingParsing:
         ({"message_tokens": 100}, "unknown config keys"),
         ({"weights": "12"}, "not a string"),
         ({"weights": {"exec": 3, "grap": 0}}, "unknown weights keys"),
+        ({"executor": {"time_limit_ms": 500}}, "unknown keys under executor"),
     ])
     def test_rejections(self, data, needle):
         with pytest.raises(ConfigError, match=needle):

@@ -229,9 +229,11 @@ class TestExternalValidator:
         assert report.outcomes[0].detail == "external validator: policy says no"
 
     def test_validator_receives_the_yaml_on_stdin(self):
-        probe = "import sys; sys.exit(0 if 'difficulty' in sys.stdin.read() else 7)"
+        # The record's own text, comments and all, not a canonical re-dump.
+        yaml_text = "# kept as written\n" + chain_yaml(["n1"])
+        probe = f"import sys; sys.exit(0 if sys.stdin.read() == {yaml_text!r} else 7)"
         config = CorpusFilterConfig(validator_cmd=("python3", "-c", probe))
-        report, _ = filter_corpus([rec("r1", chain_yaml(["n1"]))], config)
+        report, _ = filter_corpus([rec("r1", yaml_text)], config)
         assert report.accepted_count == 1
 
     def test_unrunnable_validator_is_a_config_error(self):

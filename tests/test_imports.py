@@ -1,4 +1,5 @@
-"""Module boundaries: no agentdag module imports another one's private names.
+"""Module boundaries: no agentdag module imports another one's private names,
+and none imports a third-party package other than PyYAML.
 
 A private name shared across modules is a second copy of one module's
 internals waiting to happen; anything another module needs gets a public name.
@@ -7,6 +8,7 @@ internals waiting to happen; anything another module needs gets a public name.
 from __future__ import annotations
 
 import ast
+import sys
 from pathlib import Path
 
 import agentdag
@@ -38,4 +40,30 @@ def test_modules_are_found():
 def test_no_module_imports_a_private_name_from_another():
     offenders = [hit for path in sorted(PACKAGE_ROOT.rglob("*.py"))
                  for hit in private_imports(path)]
+    assert offenders == []
+
+
+# The package runs on the standard library and PyYAML alone.
+ALLOWED_TOP_LEVEL = set(sys.stdlib_module_names) | {"yaml", "agentdag"}
+
+
+def third_party_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] not in ALLOWED_TOP_LEVEL:
+                found.append(f"{path.relative_to(PACKAGE_ROOT)}:{node.lineno}: {name}")
+    return found
+
+
+def test_only_the_stdlib_and_yaml_are_imported():
+    offenders = [hit for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+                 for hit in third_party_imports(path)]
     assert offenders == []
