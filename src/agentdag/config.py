@@ -171,17 +171,33 @@ def _endpoint_from(data: Mapping[str, Any], where: str) -> AdapterEndpoint:
         raise ConfigError(f"{where}.kind must be 'scripted' or 'remote'")
     if endpoint.kind == "remote" and not endpoint.url:
         raise ConfigError(f"{where}.kind is 'remote' but no url is set")
+    if endpoint.retries < 0:
+        raise ConfigError(f"{where}.retries must be >= 0")
+    if endpoint.timeout_s <= 0:
+        raise ConfigError(f"{where}.timeout_s must be > 0")
     return endpoint
 
 
+def _command(raw: Any, what: str) -> tuple[str, ...]:
+    if isinstance(raw, (str, bytes)):
+        raise ConfigError(f"{what} must be a list of arguments, not a string")
+    return tuple(raw)
+
+
 def _languages_from(data: Mapping[str, Any]) -> dict[str, LanguageSpec]:
+    if not isinstance(data, Mapping):
+        raise ConfigError("executor.languages must be a mapping")
     languages = _default_languages()
     for tag, spec in data.items():
         if not isinstance(spec, Mapping) or "run_cmd" not in spec:
             raise ConfigError(f"language {tag!r} needs at least run_cmd")
+        unknown = set(spec) - {"run_cmd", "compile_cmd", "source_name"}
+        if unknown:
+            raise ConfigError(f"unknown keys under language {tag!r}: {sorted(map(str, unknown))}")
+        compile_cmd = spec.get("compile_cmd")
         languages[str(tag)] = LanguageSpec(
-            run_cmd=tuple(spec["run_cmd"]),
-            compile_cmd=tuple(spec["compile_cmd"]) if spec.get("compile_cmd") else None,
+            run_cmd=_command(spec["run_cmd"], f"language {tag!r} run_cmd"),
+            compile_cmd=_command(compile_cmd, f"language {tag!r} compile_cmd") if compile_cmd else None,
             source_name=str(spec.get("source_name", f"main.{tag}")),
         )
     return languages

@@ -164,6 +164,56 @@ def _require_str(value, what: str, step: int | None, agent: str | None) -> str:
     return value
 
 
+# PyYAML's pure SafeLoader and SafeDumper define what a text means and how a
+# document is written. libyaml, when PyYAML was built with it, is several
+# times faster but disagrees with them on some inputs, so it is used only
+# where a differential fuzz found none.
+_C_LOADER = getattr(yaml, "CSafeLoader", None)
+_C_DUMPER = getattr(yaml, "CSafeDumper", None)
+
+# The libyaml loader words its errors differently (so a text it rejects is
+# read again by the pure loader), and it accepts tabs and other characters
+# outside printable ASCII that the pure loader rejects. It also reads some
+# texts otherwise: an empty node tagged "!" as "" rather than None, "|#" and
+# ">#" block-scalar headers, and "?" inside flow collections. A text that
+# this pattern matches is read by the pure loader alone.
+_OFF_LIBYAML = re.compile(r"[^\n -~]|[!|>?]")
+
+# libyaml's composer recurses on the C stack once per nesting level, and a
+# document deep enough to overflow it kills the process (at about 2,500
+# levels on a 1 MB thread stack). Each collection opens with at least one
+# indicator of its own ("?" never reaches libyaml), so their count bounds the
+# depth of a text.
+_NESTING_INDICATORS = "[{-:"
+_C_MAX_INDICATORS = 1000
+
+
+def _libyaml_reads(text: str) -> bool:
+    """True when the libyaml loader reads ``text`` as the pure one does."""
+    return (_OFF_LIBYAML.search(text) is None
+            and sum(map(text.count, _NESTING_INDICATORS)) <= _C_MAX_INDICATORS)
+
+
+def _load(yaml_text: str):
+    """The data of a YAML text as the pure SafeLoader reads it.
+
+    Raises YAML_PARSE_ERROR with the first line of the pure loader's message.
+    """
+    if _C_LOADER is not None and _libyaml_reads(yaml_text):
+        try:
+            return yaml.load(yaml_text, Loader=_C_LOADER)
+        except (yaml.YAMLError, RecursionError):
+            pass  # the pure loader below words the error
+    try:
+        return yaml.safe_load(yaml_text)
+    except RecursionError:
+        raise TopologyError(ErrorClass.YAML_PARSE_ERROR,
+                            "document nests too deeply for the YAML loader") from None
+    except yaml.YAMLError as exc:
+        first_line = str(exc).strip().splitlines()[0] if str(exc).strip() else "invalid YAML"
+        raise TopologyError(ErrorClass.YAML_PARSE_ERROR, first_line) from exc
+
+
 def parse_topology(yaml_text: str, *, fallback_difficulty: int | None = None) -> TopologyDoc:
     """Parse raw YAML into a TopologyDoc, enforcing the structural schema.
 
@@ -171,12 +221,7 @@ def parse_topology(yaml_text: str, *, fallback_difficulty: int | None = None) ->
     YAML_SCHEMA_INVALID. Referential rules are checked separately by
     :func:`validate_logic`.
     """
-    try:
-        data = yaml.safe_load(yaml_text)
-    except yaml.YAMLError as exc:
-        first_line = str(exc).strip().splitlines()[0] if str(exc).strip() else "invalid YAML"
-        raise TopologyError(ErrorClass.YAML_PARSE_ERROR, first_line) from exc
-
+    data = _load(yaml_text)
     if not isinstance(data, dict):
         raise _schema_error(f"top level must be a mapping, got {type(data).__name__}")
 
@@ -377,4 +422,13 @@ def canonicalize(doc: TopologyDoc) -> bytes:
 
 def to_yaml(doc: TopologyDoc) -> str:
     """Serialize a document back to YAML that re-parses to an equal document."""
-    return yaml.safe_dump(doc_to_mapping(doc), sort_keys=False, default_flow_style=False)
+    mapping = doc_to_mapping(doc)
+    # libyaml folds long quoted scalars that hold a newline or a character
+    # outside printable ASCII differently; it writes all others as the pure
+    # dumper does.
+    if _C_DUMPER is not None and all(
+            text.isascii() and text.isprintable()
+            for step in doc.steps for agent in step.agents
+            for text in (agent.id, agent.role, *agent.refs)):
+        return yaml.dump(mapping, Dumper=_C_DUMPER, sort_keys=False, default_flow_style=False)
+    return yaml.safe_dump(mapping, sort_keys=False, default_flow_style=False)

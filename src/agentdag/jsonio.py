@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -43,7 +44,7 @@ def _write(obj: Any, out: list[str], indent: int | None, depth: int) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
+        out.append(encode_basestring(obj))
     elif isinstance(obj, (list, tuple)):
         _write_seq(obj, out, indent, depth)
     elif isinstance(obj, dict):
@@ -82,7 +83,7 @@ def _write_map(obj: dict, out: list[str], indent: int | None, depth: int) -> Non
         if i:
             out.append(",")
         _newline(out, indent, depth + 1)
-        out.append(json.dumps(key, ensure_ascii=False))
+        out.append(encode_basestring(key))
         out.append(": " if indent is not None else ":")
         _write(value, out, indent, depth + 1)
     _newline(out, indent, depth)

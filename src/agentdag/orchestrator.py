@@ -210,8 +210,10 @@ def render_history_prompt(problem: ProblemSpec, turns: Sequence[TurnRecord], *,
         lines.append("")
         lines.append(f"--- turn {record.turn} ---")
         if record.doc is not None:
+            # An executed turn that did not pass already holds its rendering.
+            trace = record.observation.topology_trace if record.observation else ""
             lines.append("topology:")
-            lines.append(to_yaml(record.doc).rstrip("\n"))
+            lines.append((trace or to_yaml(record.doc)).rstrip("\n"))
         else:
             lines.append("raw output:")
             lines.append(truncate_text(record.policy_text, text_cap))

@@ -61,13 +61,18 @@ class TestMappingParsing:
         config = config_from_mapping({
             "executor": {
                 "max_output_bytes": 500,
-                "languages": {"lua": {"run_cmd": ["lua", "{src}"]}},
+                "languages": {"lua": {"run_cmd": ["lua", "{src}"]},
+                              "c": {"run_cmd": ["./a.out"], "compile_cmd": ["cc", "{src}"]}},
             },
         })
         assert config.executor.max_output_bytes == 500
         assert config.executor.languages["lua"].run_cmd == ("lua", "{src}")
         assert config.executor.languages["lua"].source_name == "main.lua"
+        assert config.executor.languages["c"].compile_cmd == ("cc", "{src}")
         assert "python" in config.executor.languages  # defaults survive
+
+    def test_zero_retries_is_one_attempt_and_allowed(self):
+        assert config_from_mapping({"policy": {"retries": 0}}).policy.retries == 0
 
     @pytest.mark.parametrize("data,needle", [
         ({"surprise": 1}, "unknown config keys"),
@@ -85,6 +90,16 @@ class TestMappingParsing:
         ({"weights": "12"}, "not a string"),
         ({"weights": {"exec": 3, "grap": 0}}, "unknown weights keys"),
         ({"executor": {"time_limit_ms": 500}}, "unknown keys under executor"),
+        ({"policy": {"retries": -1}}, "policy.retries must be >= 0"),
+        ({"roles": {"timeout_s": 0}}, "roles.timeout_s must be > 0"),
+        ({"policy": {"timeout_s": -1.5}}, "policy.timeout_s must be > 0"),
+        ({"executor": {"languages": {"rb": {"run_cmd": "ruby {src}"}}}},
+         "run_cmd must be a list of arguments, not a string"),
+        ({"executor": {"languages": {"c": {"run_cmd": ["./a.out"], "compile_cmd": "cc {src}"}}}},
+         "compile_cmd must be a list of arguments, not a string"),
+        ({"executor": {"languages": {"lua": {"run_cmd": ["lua"], "timeout": 3}}}},
+         "unknown keys under language 'lua'"),
+        ({"executor": {"languages": [{"run_cmd": ["lua"]}]}}, "languages must be a mapping"),
     ])
     def test_rejections(self, data, needle):
         with pytest.raises(ConfigError, match=needle):

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
 import pytest
 import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
+from agentdag import dsl
 from agentdag.dsl import (
     CheckResult,
     ErrorClass,
@@ -401,6 +403,124 @@ class TestTotality:
         assert payload["ok"] is False
         assert payload["class"] == "YAML_SCHEMA_INVALID"
         assert isinstance(payload["detail"], str)
+
+
+class TestDeepNesting:
+    DEEP = "[" * 500 + "]" * 500
+
+    def test_the_pure_loaders_recursion_limit_is_a_parse_error(self, monkeypatch):
+        # A tab in a comment keeps a text off the libyaml path; so do more
+        # nesting indicators than that path takes.
+        for text in ("# \t\n" + self.DEEP, "- " * 1001 + "x"):
+            result = check_yaml(text)
+            assert result.error_class is ErrorClass.YAML_PARSE_ERROR
+            assert result.detail == "document nests too deeply for the YAML loader"
+        assert check_topology(fenced("# \t\n" + self.DEEP)).error_class \
+            is ErrorClass.YAML_PARSE_ERROR
+        monkeypatch.setattr(dsl, "_C_LOADER", None)
+        assert check_yaml(self.DEEP).error_class is ErrorClass.YAML_PARSE_ERROR
+
+    def test_merge_chains_under_a_deep_caller_stack_are_a_parse_error(self):
+        # The constructor follows "<<" merges recursively on either loader.
+        text = "{<<: " * 400 + "{a: 1}" + "}" * 400
+
+        def at_depth(frames: int) -> CheckResult:
+            return at_depth(frames - 1) if frames else check_yaml(text)
+
+        result = at_depth(sys.getrecursionlimit() - 300)
+        assert result.detail == "document nests too deeply for the YAML loader"
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
+    def test_libyaml_reads_deep_nesting_and_the_schema_rejects_it(self):
+        result = check_yaml(self.DEEP)
+        assert result.error_class is ErrorClass.YAML_SCHEMA_INVALID
+        assert result.detail == "top level must be a mapping, got list"
+
+
+# Ids that the dumper must quote, that leave printable ASCII, or on which the
+# two dumpers are known to write different bytes.
+AWKWARD_IDS = ("yes", "null", "1", "~", "on", "1e3", "- x", "a: b", "#x", "!x", "'q'",
+               "é", "agent_ü", "x\ty", "a " * 45 + "\nb", "é" * 100, "ab\x07" * 40)
+MUTATION_CHARS = ("abz09 _\n\n:-?[]{},#&*!|>'\"%@`~.\\/"
+                  "\t\r\x00\x07\x7f\x85\ufeff\u00e9\u2028")
+
+
+def awkward_topology(rng: random.Random):
+    doc = random_topology(rng, max_layers=3, max_width=2)
+    names = rng.sample(AWKWARD_IDS, k=len(doc.agent_ids))
+    rename = {aid: name for aid, name in zip(doc.agent_ids, names) if rng.random() < 0.25}
+    return make_doc([[(rename.get(a.id, a.id), a.role, [rename.get(r, r) for r in a.refs])
+                      for a in step.agents] for step in doc.steps], difficulty=doc.difficulty)
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    chars = list(text)
+    for _ in range(rng.randint(1, 4)):
+        at, char = rng.randrange(len(chars) + 1), rng.choice(MUTATION_CHARS)
+        op = rng.randrange(3) if chars else 0
+        if op == 0:
+            chars.insert(at, char)
+        elif op == 1:
+            chars[min(at, len(chars) - 1)] = char
+        else:
+            del chars[min(at, len(chars) - 1)]
+    return "".join(chars)
+
+
+def pure_yaml(doc) -> str:
+    return yaml.safe_dump(doc_to_mapping(doc), sort_keys=False, default_flow_style=False)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__,
+                    reason="PyYAML is built without libyaml, so only the pure loader and dumper run")
+class TestLibyamlAgreesWithThePureCodec:
+    """libyaml is taken only where it gives what the pure classes give."""
+
+    @pytest.fixture(scope="class")
+    def rendered(self):
+        rng = random.Random(0x5AFE)
+        return [(doc, pure_yaml(doc)) for doc in (awkward_topology(rng) for _ in range(500))]
+
+    @pytest.fixture(scope="class")
+    def mutated(self, rendered):
+        rng = random.Random(0xD1FF)
+        return [mutate(rng, text) for _, text in rendered for _ in range(4)]
+
+    def test_where_libyaml_reads_a_text_the_pure_loader_gives_the_same_data(self, mutated):
+        taken = 0
+        for text in mutated:
+            if not dsl._libyaml_reads(text):
+                continue
+            try:
+                fast = yaml.load(text, Loader=yaml.CSafeLoader)
+            except yaml.YAMLError:
+                continue  # parse_topology falls back to the pure loader
+            taken += 1
+            assert repr(yaml.safe_load(text)) == repr(fast), text
+        assert taken > 300
+
+    def test_check_yaml_equals_the_pure_loader_reference(self, mutated, monkeypatch):
+        results = [check_yaml(text) for text in mutated]
+        monkeypatch.setattr(dsl, "_C_LOADER", None)
+        assert [check_yaml(text) for text in mutated] == results
+
+    # Texts that libyaml reads otherwise than the pure loader: an empty node
+    # tagged "!", "|#" and ">#" block-scalar headers, "?" in a flow scalar.
+    @pytest.mark.parametrize("text", [
+        "difficulty: 1\nsteps:\n- agents:\n  - id: a\n    role: planning\n    ref: !\n",
+        "difficulty: 1\nsteps: |#\n",
+        "difficulty: 1\nsteps: >#\n",
+        "difficulty: 1\nsteps: [a?]\n",
+    ])
+    def test_texts_libyaml_misreads_are_classified_as_the_pure_loader_does(self, text,
+                                                                          monkeypatch):
+        result = check_yaml(text)
+        monkeypatch.setattr(dsl, "_C_LOADER", None)
+        assert check_yaml(text) == result
+
+    def test_to_yaml_equals_the_pure_dumper(self, rendered):
+        for doc, text in rendered:
+            assert to_yaml(doc) == text
 
 
 def test_parse_error_messages_are_single_line():

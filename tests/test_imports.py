@@ -67,3 +67,30 @@ def test_only_the_stdlib_and_yaml_are_imported():
     offenders = [hit for path in sorted(PACKAGE_ROOT.rglob("*.py"))
                  for hit in third_party_imports(path)]
     assert offenders == []
+
+
+# One codec path: topology YAML is read and written only in dsl, and the
+# config file is read only in config.
+YAML_CODEC_CALLS = {"load", "safe_load", "dump", "safe_dump"}
+YAML_CODEC_MODULES = {"dsl.py", "config.py"}
+
+
+def yaml_codec_uses(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in YAML_CODEC_CALLS
+                and isinstance(node.value, ast.Name) and node.value.id == "yaml"):
+            found.append(f"{path.relative_to(PACKAGE_ROOT)}:{node.lineno}: yaml.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "yaml":
+            found.extend(f"{path.relative_to(PACKAGE_ROOT)}:{node.lineno}: from yaml import {a.name}"
+                         for a in node.names if a.name in YAML_CODEC_CALLS | {"*"})
+    return found
+
+
+def test_yaml_is_read_and_written_only_in_dsl_and_config():
+    offenders = [hit for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+                 if str(path.relative_to(PACKAGE_ROOT)) not in YAML_CODEC_MODULES
+                 for hit in yaml_codec_uses(path)]
+    assert offenders == []
+    assert yaml_codec_uses(PACKAGE_ROOT / "dsl.py")  # the check sees real uses

@@ -12,6 +12,10 @@ from hypothesis import strategies as st
 from agentdag.jsonio import dumps, format_float, read_jsonl, write_jsonl
 
 
+# Every code point, with lone surrogates drawn often.
+ANY_CHAR = st.characters(exclude_categories=()) | st.characters(categories=["Cs"])
+
+
 class TestFloatFormat:
     @pytest.mark.parametrize("value,rendered", [
         (0.0, "0"),
@@ -80,6 +84,12 @@ class TestDumps:
         for indent in (None, 2):
             parsed = json.loads(dumps(data, indent=indent))
             assert self._normalize(parsed) == self._normalize(data)
+
+    @given(st.text(ANY_CHAR), st.text(ANY_CHAR))
+    def test_strings_are_escaped_as_the_stdlib_escapes_them(self, key, value):
+        assert dumps(value) == json.dumps(value, ensure_ascii=False)
+        assert dumps({key: value}) == "{%s:%s}" % (json.dumps(key, ensure_ascii=False),
+                                                   json.dumps(value, ensure_ascii=False))
 
     @staticmethod
     def _normalize(obj):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 
@@ -10,6 +11,7 @@ import pytest
 from conftest import CountingSandbox
 from oracles import graph_reward_oracle
 
+from agentdag import orchestrator
 from agentdag.adapters import (
     AdapterError,
     LocalExecutor,
@@ -278,6 +280,37 @@ class TestHistoryPrompt:
         assert "raw output:" in prompt
         assert "no yaml, sorry" in prompt
         assert "[NO_YAML_FOUND]" in prompt
+
+
+class PromptSpy:
+    """A policy that records the history prompt of every call, then delegates."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.prompts = []
+
+    def generate(self, problem, history_prompt):
+        self.prompts.append(history_prompt)
+        return self.inner.generate(problem, history_prompt)
+
+
+class TestHistoryRendersEachTopologyOnce:
+    def test_k_failed_executed_turns_render_k_topologies(self, monkeypatch):
+        calls = []
+        real_to_yaml = orchestrator.to_yaml
+        monkeypatch.setattr(orchestrator, "to_yaml",
+                            lambda doc: calls.append(doc) or real_to_yaml(doc))
+        policy = PromptSpy(ScriptedPolicy(
+            [fenced(PLAN_ONLY), "no yaml", fenced(WIDE), fenced(PLAN_ONLY)]))
+        result = run_episode(ECHO, policy, ScriptedRoleBackend(), CountingSandbox(),
+                             RunConfig(max_turns=4))
+        executed = [t for t in result.trajectory.turns if t.doc is not None]
+        assert len(executed) == 3 and result.status == "FAILED"
+        assert calls == [t.doc for t in executed]
+        # Rendering every topology afresh gives the prompts the policy saw.
+        fresh = [dataclasses.replace(t, observation=dataclasses.replace(
+                     t.observation, topology_trace="")) for t in result.trajectory.turns]
+        assert policy.prompts == [render_history_prompt(ECHO, fresh[:k]) for k in range(4)]
 
 
 class TestEpisodes:
