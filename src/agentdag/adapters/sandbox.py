@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
+import io
+import marshal
 import os
-import resource
-import selectors
 import signal
 import subprocess
 import sys
 import tempfile
 import threading
-import time
 from pathlib import Path
 from typing import Sequence
 
@@ -21,10 +20,207 @@ from .base import SandboxError
 
 _ACTUAL_PREFIX_CHARS = 160
 _COMPILE_TIMEOUT_S = 30.0
-_READ_CHUNK = 65536
+# How long the judge waits for a harness beyond the sum of its tests' limits.
+_HARNESS_SLACK_S = 5.0
 # The only variables that candidates and compilers see of the caller's
 # environment; API keys and PYTHONPATH stay behind.
 _ENV_KEYS = ("PATH", "LANG")
+
+# One harness judges all tests of one candidate, under ``python3 -I -S -c``.
+# It reads ``(code, argv, inputs, limit_s, limit_as, keep)`` as marshal from
+# stdin and, for each input, forks a child that leads a session of its own
+# under RLIMIT_AS. A child runs ``code`` itself with ``sys.argv = ["-c",
+# *argv]``, as ``python3 -I -S -c code *argv`` would, or execs ``argv`` when
+# ``code`` is None. The harness feeds the child's stdin, keeps the first
+# ``keep`` bytes of its stdout and stderr, and kills its process group when
+# it exits or its time is up. It writes marshal frames to stdout: the
+# child's pid once it is forked, then ``(exit code or None on timeout,
+# stdout, stderr, ended by an uncaught MemoryError)``; a str frame says why a
+# child could not start. Its imports are kept light (no signal, which pulls
+# in enum), and it never touches sys.stdin or sys.stdout, so a child
+# inherits them unread and unwritten.
+_HARNESS = """\
+import marshal, os, resource, select, sys, time
+
+SIGKILL = 9
+
+
+def read_job():
+    chunks = []
+    while chunk := os.read(0, 65536):
+        chunks.append(chunk)
+    return marshal.loads(b"".join(chunks))
+
+
+def send(frame):
+    data = memoryview(marshal.dumps(frame))
+    while data:
+        data = data[os.write(1, data):]
+
+
+def exit_status(code):
+    # As the interpreter reads the code of an uncaught SystemExit.
+    if code is None:
+        return 0
+    if isinstance(code, int):
+        return code & 0xFF
+    try:
+        print(code, file=sys.stderr)
+    except BaseException:
+        pass
+    return 1
+
+
+def finish(status):
+    # What the interpreter does at exit before it tears down its heap; the
+    # teardown is left out, because in a fork it would copy the harness's.
+    threading = sys.modules.get("threading")
+    if threading is not None:
+        threading._shutdown()
+    atexit = sys.modules.get("atexit")
+    if atexit is not None:
+        atexit._run_exitfuncs()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except BaseException:
+        status = 120
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except BaseException:
+        pass
+    return status
+
+
+def child(in_r, out_w, err_w, report_w, others):
+    try:
+        os.setsid()
+        resource.setrlimit(resource.RLIMIT_AS, (limit_as, limit_as))
+        os.dup2(in_r, 0)
+        os.dup2(out_w, 1)
+        os.dup2(err_w, 2)
+        for fd in (in_r, out_w, err_w, *others):
+            os.close(fd)
+        if code is None:
+            import _signal
+            for signum in (_signal.SIGPIPE, _signal.SIGXFSZ):
+                _signal.signal(signum, _signal.SIG_DFL)
+            os.execvp(argv[0], argv)
+    except BaseException as exc:
+        try:
+            os.write(report_w, b"!" + str(exc).encode("utf-8", "replace"))
+        finally:
+            os._exit(127)
+    status = 1
+    try:
+        sys.argv = ["-c", *argv]
+        sys.setrecursionlimit(sys.getrecursionlimit() + 2)
+        memory_error = False
+        try:
+            exec(code, {"__name__": "__main__", "__builtins__": __builtins__})
+            status = 0
+        except SystemExit as exc:
+            status = exit_status(exc.code)
+            memory_error = isinstance(exc.__context__, MemoryError)
+        except BaseException as exc:
+            sys.excepthook(type(exc), exc, exc.__traceback__.tb_next)
+            memory_error = isinstance(exc, MemoryError)
+        status = finish(status)
+        if memory_error:
+            os.write(report_w, b"M")
+    finally:
+        os._exit(status)
+
+
+def take(fd, kept):
+    # Reads one chunk and keeps it up to the cap; False at end of file.
+    chunk = os.read(fd, 65536)
+    if len(kept) < keep:
+        kept += chunk[:keep - len(kept)]
+    return bool(chunk)
+
+
+def supervise(pid, deadline, data, in_w, out_r, err_r):
+    pidfd = os.pidfd_open(pid)
+    kept = {out_r: bytearray(), err_r: bytearray()}
+    readers = [out_r, err_r, pidfd]
+    pending = memoryview(data)
+    timed_out = False
+    while True:
+        if not pending and in_w is not None:
+            os.close(in_w)
+            in_w = None
+        # Checked on every pass: a flood of output keeps select() busy.
+        left = deadline - time.monotonic()
+        if left <= 0:
+            timed_out = True
+            break
+        writers = [] if in_w is None else [in_w]
+        readable, writable, _ = select.select(readers, writers, [], left)
+        for fd in readable:
+            if fd != pidfd and not take(fd, kept[fd]):
+                readers.remove(fd)
+        if writable:
+            try:
+                pending = pending[os.write(in_w, pending):]
+            except BlockingIOError:
+                pass
+            except BrokenPipeError:
+                pending = pending[:0]
+        if pidfd in readable:
+            break
+    try:
+        os.killpg(pid, SIGKILL)
+    except ProcessLookupError:  # the child ended before it led a group
+        os.kill(pid, SIGKILL)
+    # Take only what the pipes hold now: a writer that escaped the group
+    # must not keep the harness reading.
+    for fd in (out_r, err_r):
+        try:
+            while fd in readers and len(kept[fd]) < keep and take(fd, kept[fd]):
+                pass
+        except BlockingIOError:
+            pass
+    _, status = os.waitpid(pid, 0)
+    for fd in (pidfd, out_r, err_r):
+        os.close(fd)
+    if in_w is not None:
+        os.close(in_w)
+    returncode = None if timed_out else os.waitstatus_to_exitcode(status)
+    return returncode, bytes(kept[out_r]), bytes(kept[err_r])
+
+
+code, argv, inputs, limit_s, limit_as, keep = read_job()
+# The first compile() in a process builds the compiler's AST types, about
+# 2 ms; built here once, they are not built again in every child.
+compile("", "<harness>", "exec")
+for data in inputs:
+    in_r, in_w = os.pipe()
+    out_r, out_w = os.pipe()
+    err_r, err_w = os.pipe()
+    report_r, report_w = os.pipe()
+    for fd in (in_w, out_r, err_r, report_r):
+        os.set_blocking(fd, False)
+    deadline = time.monotonic() + limit_s
+    pid = os.fork()
+    if pid == 0:
+        child(in_r, out_w, err_w, report_w, (in_w, out_r, err_r, report_r))
+    for fd in (in_r, out_w, err_w, report_w):
+        os.close(fd)
+    send(pid)
+    returncode, out, err = supervise(pid, deadline, data, in_w, out_r, err_r)
+    try:
+        report = os.read(report_r, 65536)
+    except BlockingIOError:  # held open by a process that escaped the group
+        report = b""
+    os.close(report_r)
+    if report.startswith(b"!"):
+        send(report[1:].decode("utf-8", "replace"))
+        break
+    send((returncode, out, err, report == b"M"))
+os._exit(0)
+"""
 
 
 def _clip(text: str, limit: int) -> str:
@@ -40,123 +236,28 @@ def _child_env() -> dict[str, str]:
     return {key: os.environ[key] for key in _ENV_KEYS if key in os.environ}
 
 
-def _child_setup(memory_limit_mb: int, pid_fd: int):
-    """Pre-exec hook: report the child's pid, which is also the id of the
-    session and process group it leads, and cap its address space."""
-    limit_bytes = memory_limit_mb * 1024 * 1024
-
-    def apply():
-        os.write(pid_fd, os.getpid().to_bytes(4, "little"))
-        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
-
-    return apply
-
-
-class _Watchdog:
-    """Watches one candidate process from a thread of its own.
-
-    The candidate's stdout and stderr go to pipes that the thread drains as
-    output comes: it keeps the first ``cap + 1`` bytes of each stream, one
-    more than a clip needs, and reads and discards the rest, so the child
-    never blocks on a full pipe and the judge's memory stays bounded. The
-    child reports its pid through a third pipe, which starts its clock; when
-    the time limit passes, the thread kills the child's process group.
-    """
-
-    def __init__(self, cap: int, time_limit_ms: int):
-        self._keep = cap + 1
-        self._limit_s = time_limit_ms / 1000.0
-        self._out_r, self.out_w = os.pipe()
-        self._err_r, self.err_w = os.pipe()
-        self._pid_r, self.pid_w = os.pipe()
-        self._stop_r, self._stop_w = os.pipe()
-        for fd in (self._out_r, self._err_r, self._pid_r):
-            os.set_blocking(fd, False)
-        self._data = {self._out_r: bytearray(), self._err_r: bytearray()}
-        self._pid: int | None = None
-        self.timed_out = False
-        self._thread = threading.Thread(target=self._watch, daemon=True)
-        self._thread.start()
-
-    def _read(self, fd: int) -> bool:
-        """Reads one chunk; False at end of file."""
-        chunk = os.read(fd, _READ_CHUNK)
-        kept = self._data[fd]
-        if len(kept) < self._keep:
-            kept += chunk[:self._keep - len(kept)]
-        return bool(chunk)
-
-    def _read_pid(self) -> None:
-        try:
-            self._pid = int.from_bytes(os.read(self._pid_r, 4), "little") or None
-        except BlockingIOError:  # the child was never started
-            pass
-
-    def _kill_group(self) -> None:
-        if self._pid is not None:
-            try:
-                os.killpg(self._pid, signal.SIGKILL)
-            except ProcessLookupError:  # nothing is left in it
-                pass
-
-    def _watch(self) -> None:
-        deadline = None
-        with selectors.DefaultSelector() as selector:
-            for fd in (self._out_r, self._err_r, self._pid_r, self._stop_r):
-                selector.register(fd, selectors.EVENT_READ)
-            while True:
-                # Checked on every pass: a flood of output keeps select() busy.
-                if deadline is not None and time.monotonic() >= deadline:
-                    self.timed_out = True
-                    self._kill_group()
-                    deadline = None
-                timeout = None if deadline is None else deadline - time.monotonic()
-                for key, _ in selector.select(timeout):
-                    if key.fd == self._stop_r:
-                        self._stop(selector)
-                        return
-                    if key.fd == self._pid_r:
-                        self._read_pid()
-                        selector.unregister(self._pid_r)
-                        deadline = time.monotonic() + self._limit_s
-                    elif not self._read(key.fd):
-                        selector.unregister(key.fd)
-
-    def _stop(self, selector: selectors.BaseSelector) -> None:
-        if self._pid is None:
-            self._read_pid()
-        self._kill_group()
-        # Take only what the pipes hold now: a writer that escaped the group
-        # must not keep the judge reading.
-        for fd in self._data:
-            if fd in selector.get_map():
-                try:
-                    while len(self._data[fd]) < self._keep and self._read(fd):
-                        pass
-                except BlockingIOError:
-                    pass
-
-    def finish(self) -> tuple[bytes, bytes]:
-        """Once the child has exited: kills whatever it left running in its
-        process group and returns (stdout, stderr), without waiting for a
-        process that still holds the pipes."""
-        for fd in (self.out_w, self.err_w, self.pid_w):
-            os.close(fd)
-        os.write(self._stop_w, b"\0")
-        self._thread.join()
-        for fd in (self._out_r, self._err_r, self._pid_r, self._stop_r, self._stop_w):
-            os.close(fd)
-        return bytes(self._data[self._out_r]), bytes(self._data[self._err_r])
+def _frames(data: bytes) -> list:
+    """The marshal frames a harness wrote, up to the first cut-short one."""
+    stream = io.BytesIO(data)
+    frames = []
+    try:
+        while stream.tell() < len(data):
+            frames.append(marshal.load(stream))
+    except (EOFError, ValueError, TypeError):
+        pass
+    return frames
 
 
 class LocalExecutor:
     """Runs candidate programs under wall-time and address-space limits.
 
-    Each candidate runs in a session of its own, in the judge's temporary
-    workdir, with only ``PATH`` and ``LANG`` of the caller's environment; its
-    output is read as it comes and kept up to ``max_output_bytes``.
-    Compilations are serialized per language toolchain; concurrent
-    ``execute`` calls are throttled by the configured worker cap. POSIX only.
+    One harness process judges all tests of a candidate. Each test runs in a
+    process and session of its own, forked from the harness, in the judge's
+    temporary workdir, with only ``PATH`` and ``LANG`` of the caller's
+    environment; its output is read as it comes and kept up to
+    ``max_output_bytes``. Compilations are serialized per language
+    toolchain; concurrent ``execute`` calls are throttled by the configured
+    worker cap. Linux only (the harness watches its children through pidfds).
     """
 
     def __init__(self, config: ExecutorConfig | None = None):
@@ -210,16 +311,26 @@ class LocalExecutor:
             if tag == "python":
                 # Run under the same interpreter that is running us.
                 run_cmd = [sys.executable if arg == "python3" else arg for arg in run_cmd]
+            # The command the harness itself would be: it runs the code in a
+            # fork instead of starting an interpreter for it.
+            in_fork = len(run_cmd) > 4 and run_cmd[:4] == [sys.executable, "-I", "-S", "-c"]
+            code, argv = (run_cmd[4], run_cmd[5:]) if in_fork else (None, run_cmd)
 
-            results = [
-                self._run_test(run_cmd, workdir, i, test, time_limit_ms, memory_limit_mb,
-                               log_lines)
-                for i, test in enumerate(tests)
-            ]
-        verdict = classify_verdict([r.status for r in results])
+            results, ending = self._run_harness(code, argv, workdir, tests, time_limit_ms,
+                                                memory_limit_mb)
+        per_test = [
+            self._verdict(i, test, result, in_fork, time_limit_ms, memory_limit_mb, log_lines)
+            for i, (test, result) in enumerate(zip(tests, results))
+        ]
+        if len(results) < len(tests):
+            log_lines.append(f"judge harness ended after {len(results)} of {len(tests)} "
+                             f"tests ({ending}); the rest are runtime errors")
+            per_test += [TestResult(index=i, status=Verdict.RUNTIME_ERROR)
+                         for i in range(len(results), len(tests))]
+        verdict = classify_verdict([r.status for r in per_test])
         if verdict is Verdict.PASSED:
             log_lines.append(f"all {len(tests)} tests passed")
-        return ExecOutcome(verdict=verdict, per_test=tuple(results), logs="\n".join(log_lines))
+        return ExecOutcome(verdict=verdict, per_test=tuple(per_test), logs="\n".join(log_lines))
 
     def _compile(self, source: str, tag: str, spec: LanguageSpec, src_path: Path,
                  bin_path: Path, log_lines: list[str]) -> str | None:
@@ -250,38 +361,52 @@ class LocalExecutor:
             return message
         return None
 
-    def _spawn(self, run_cmd: list[str], workdir: str, stdin: str, time_limit_ms: int,
-               memory_limit_mb: int) -> tuple[int | None, bytes, bytes]:
-        """Runs one candidate process in a session of its own.
-
-        Returns its exit code, or None when it ran out of time, and the
-        captured stdout and stderr.
-        """
-        watchdog = _Watchdog(self.config.max_output_bytes, time_limit_ms)
+    def _run_harness(self, code: str | None, argv: list[str], workdir: str,
+                     tests: Sequence[TestCase], time_limit_ms: int,
+                     memory_limit_mb: int) -> tuple[list[tuple], str]:
+        """Runs every test in one harness process. Returns one result tuple
+        per test that got one, in order, and how the harness ended; a harness
+        that ended early leaves no process of the test it was running."""
+        job = marshal.dumps((
+            code, argv, [test.input.encode("utf-8") for test in tests], time_limit_ms / 1000,
+            memory_limit_mb * 1024 * 1024, self.config.max_output_bytes + 1,
+        ))
+        timeout_s = len(tests) * time_limit_ms / 1000 + _HARNESS_SLACK_S
         try:
-            # No timeout here: the watchdog enforces it, and a timed run()
-            # would poll for the child's exit with growing sleeps.
             proc = subprocess.run(
-                run_cmd,
-                input=stdin.encode("utf-8"),
-                stdout=watchdog.out_w,
-                stderr=watchdog.err_w,
-                cwd=workdir,
-                env=_child_env(),
-                start_new_session=True,
-                preexec_fn=_child_setup(memory_limit_mb, watchdog.pid_w),
+                [sys.executable, "-I", "-S", "-c", _HARNESS], input=job, capture_output=True,
+                cwd=workdir, env=_child_env(), start_new_session=True, timeout=timeout_s,
             )
+            out = proc.stdout
+            ending = (f"killed by signal {-proc.returncode}" if proc.returncode < 0
+                      else f"exit {proc.returncode}")
+            if proc.returncode != 0 and proc.stderr.strip():
+                ending += f": {_clip(_decode(proc.stderr).strip(), 400)}"
+        except subprocess.TimeoutExpired as exc:
+            out, ending = exc.stdout or b"", f"timed out after {timeout_s:g} s"
         except OSError as exc:
-            raise SandboxError(f"failed to launch candidate program: {exc}") from exc
-        finally:
-            stdout, stderr = watchdog.finish()
-        return (None if watchdog.timed_out else proc.returncode), stdout, stderr
+            raise SandboxError(f"failed to start the judge harness: {exc}") from exc
 
-    def _run_test(self, run_cmd: list[str], workdir: str, index: int, test: TestCase,
-                  time_limit_ms: int, memory_limit_mb: int,
-                  log_lines: list[str]) -> TestResult:
-        returncode, out, err = self._spawn(run_cmd, workdir, test.input, time_limit_ms,
-                                           memory_limit_mb)
+        results: list[tuple] = []
+        running = None  # the pid of a child that has no result yet
+        for frame in _frames(out):
+            if isinstance(frame, int):
+                running = frame
+            elif isinstance(frame, str):
+                raise SandboxError(f"failed to launch candidate program: {frame}")
+            else:
+                results.append(frame)
+                running = None
+        if running is not None:
+            try:
+                os.killpg(running, signal.SIGKILL)
+            except ProcessLookupError:  # nothing is left in it
+                pass
+        return results, ending
+
+    def _verdict(self, index: int, test: TestCase, result: tuple, in_fork: bool,
+                 time_limit_ms: int, memory_limit_mb: int, log_lines: list[str]) -> TestResult:
+        returncode, out, err, memory_error = result
         if returncode is None:
             log_lines.append(f"test {index}: time limit exceeded ({time_limit_ms} ms)")
             return TestResult(index=index, status=Verdict.TIME_LIMIT_EXCEEDED)
@@ -290,7 +415,9 @@ class LocalExecutor:
         stderr = _decode(err)
 
         if returncode != 0:
-            if "MemoryError" in stderr or returncode == -signal.SIGKILL:
+            # A fork knows how its program ended; an exec'd one has only its
+            # stderr to go by.
+            if (memory_error if in_fork else "MemoryError" in stderr):
                 log_lines.append(f"test {index}: memory limit exceeded ({memory_limit_mb} MB)")
                 return TestResult(index=index, status=Verdict.MEMORY_LIMIT_EXCEEDED)
             log_lines.append(

@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import re
+import shutil
 import socket
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -462,6 +464,224 @@ class TestDefaultPythonCommand:
             source, "python", [TestCase(input="", expected_output="loaded\n")],
             time_limit_ms=4000, memory_limit_mb=256)
         assert outcome.verdict is Verdict.PASSED, outcome.logs
+
+
+def executor_for(languages: dict) -> LocalExecutor:
+    return LocalExecutor(config_from_mapping({"executor": {"languages": languages}}).executor)
+
+
+# The same program run by exec, not in a fork from the judge harness.
+EXEC_PYTHON = {"python": {"run_cmd": ["python3", "-I", "-S", "{src}"], "source_name": "main.py"}}
+
+
+class TestJudgeVerdicts:
+    """Verdicts come from how the program ended, not from its stderr text."""
+
+    def judge(self, source: str, executor: LocalExecutor | None = None, **limits):
+        return (executor or LocalExecutor()).execute(
+            source, "python", [TestCase(input="", expected_output="ok\n")],
+            time_limit_ms=limits.get("time_limit_ms", 4000),
+            memory_limit_mb=limits.get("memory_limit_mb", 256))
+
+    def test_a_sigkill_the_judge_did_not_send_is_a_runtime_error(self):
+        outcome = self.judge("import os, signal\nos.kill(os.getpid(), signal.SIGKILL)\n")
+        assert outcome.verdict is Verdict.RUNTIME_ERROR
+        assert "runtime error (exit -9)" in outcome.logs
+
+    def test_memory_error_text_on_stderr_is_a_runtime_error(self):
+        outcome = self.judge("import sys\nsys.stderr.write('MemoryError\\n')\nsys.exit(1)\n")
+        assert outcome.verdict is Verdict.RUNTIME_ERROR
+        assert "runtime error (exit 1)" in outcome.logs
+
+    def test_an_uncaught_memory_error_is_memory_limit_exceeded(self):
+        outcome = self.judge("raise MemoryError\n")
+        assert outcome.verdict is Verdict.MEMORY_LIMIT_EXCEEDED
+        assert "memory limit exceeded (256 MB)" in outcome.logs
+
+    def test_a_memory_error_the_program_handles_is_not_a_memory_verdict(self):
+        source = ("try:\n"
+                  "    x = bytearray(512 * 1024 * 1024)\n"
+                  "except MemoryError:\n"
+                  "    print('ok')\n")
+        assert self.judge(source, memory_limit_mb=64).verdict is Verdict.PASSED
+
+    def test_the_exec_path_keeps_the_stderr_rule(self):
+        executor = executor_for(EXEC_PYTHON)
+        text = self.judge("import sys\nsys.stderr.write('MemoryError\\n')\nsys.exit(1)\n",
+                          executor)
+        assert text.verdict is Verdict.MEMORY_LIMIT_EXCEEDED
+        real = self.judge("x = bytearray(512 * 1024 * 1024)\n", executor, memory_limit_mb=64)
+        assert real.verdict is Verdict.MEMORY_LIMIT_EXCEEDED
+        killed = self.judge("import os, signal\nos.kill(os.getpid(), signal.SIGKILL)\n",
+                            executor)
+        assert killed.verdict is Verdict.RUNTIME_ERROR
+
+    def test_a_command_that_cannot_start_is_an_infrastructure_error(self):
+        executor = executor_for({"python": {"run_cmd": ["/nonexistent/agentdag-run", "{src}"]}})
+        with pytest.raises(SandboxError, match="failed to launch candidate program"):
+            self.judge("print('ok')", executor)
+
+
+class TestJudgeHarness:
+    """One harness process per candidate: what it keeps from a plain run, and
+    what happens when it does not finish."""
+
+    def judge(self, source: str, stdins: list[str], expected: str = "", **limits):
+        tests = [TestCase(input=stdin, expected_output=expected) for stdin in stdins]
+        return LocalExecutor().execute(source, "python", tests,
+                                       time_limit_ms=limits.get("time_limit_ms", 4000),
+                                       memory_limit_mb=256)
+
+    def test_a_mutation_in_one_test_is_invisible_in_the_next(self):
+        source = ("import builtins, os\n"
+                  "print(getattr(builtins, 'marker', None), getattr(os, 'marker', None))\n"
+                  "builtins.marker = os.marker = input()\n")
+        outcome = self.judge(source, ["a\n", "b\n", "c\n"], expected="None None\n")
+        assert outcome.verdict is Verdict.PASSED, outcome.logs
+
+    def test_atexit_and_thread_output_are_kept_as_under_a_plain_run(self, tmp_path):
+        source = ("import atexit, threading, time\n"
+                  "atexit.register(print, 'at exit')\n"
+                  "def late():\n"
+                  "    time.sleep(0.05)\n"
+                  "    print('thread')\n"
+                  "threading.Thread(target=late).start()\n"
+                  "print('main')\n")
+        script = tmp_path / "main.py"
+        script.write_text(source, encoding="utf-8")
+        plain = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                               timeout=30)
+        assert plain.stdout == "main\nthread\nat exit\n"
+        outcome = self.judge(source, [""], expected=plain.stdout)
+        assert outcome.verdict is Verdict.PASSED, outcome.per_test[0].actual_prefix
+
+    def test_exit_256_is_status_0(self):
+        outcome = self.judge("print('ok')\nexit(256)\n", [""], expected="ok\n")
+        assert outcome.verdict is Verdict.PASSED, outcome.logs
+
+    def test_stdin_larger_than_a_pipe_arrives_whole(self):
+        data = "".join(f"{i}\n" for i in range(100_000))  # about 590 KB
+        assert len(data) > 64 * 1024
+        source = "import sys\ndata = sys.stdin.read()\nprint(len(data), data.count('\\n'))\n"
+        outcome = self.judge(source, [data], expected=f"{len(data)} 100000\n")
+        assert outcome.verdict is Verdict.PASSED, outcome.logs
+
+    def test_each_test_draws_its_own_random_stream(self):
+        outcome = self.judge("import random\nprint(random.random())\n", ["", ""])
+        first, second = (t.actual_prefix for t in outcome.per_test)
+        assert first != second
+
+    def test_the_harness_preloads_no_heavy_modules(self):
+        source = ("import sys\n"
+                  "print(sorted({'signal', 'enum', 'random', 'threading'} & set(sys.modules)))\n")
+        outcome = self.judge(source, [""], expected="[]\n")
+        assert outcome.verdict is Verdict.PASSED, outcome.per_test[0].actual_prefix
+
+    def test_one_harness_run_per_execute(self, monkeypatch):
+        from agentdag.adapters import sandbox
+
+        calls = []
+
+        def counting_run(*args, **kwargs):
+            calls.append(args[0])
+            return subprocess.run(*args, **kwargs)
+
+        monkeypatch.setattr(sandbox, "subprocess", SimpleNamespace(
+            run=counting_run, TimeoutExpired=subprocess.TimeoutExpired))
+        outcome = self.judge("print(input())", ["1\n", "2\n", "3\n", "4\n"])
+        assert [t.status for t in outcome.per_test] == [Verdict.WRONG_ANSWER] * 4
+        assert len(calls) == 1
+        self.judge("def broken(:\n    pass\n", ["1\n"])  # never reaches the tests
+        assert len(calls) == 1
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs procfs")
+    def test_a_program_that_kills_the_harness_is_judged_not_raised(self, tmp_path):
+        report = tmp_path / "session"
+        source = ("import os, time\n"
+                  "line = input()\n"
+                  "if line == 'die':\n"
+                  f"    open({str(report)!r}, 'w').write(str(os.getsid(0)))\n"
+                  "    os.kill(os.getppid(), 9)\n"
+                  "    time.sleep(30)\n"
+                  "print(line)\n")
+        started = time.monotonic()
+        outcome = self.judge(source, ["die\n", "b\n", "c\n"], expected="b\n")
+        elapsed = time.monotonic() - started
+        assert [t.status for t in outcome.per_test] == [Verdict.RUNTIME_ERROR] * 3
+        assert "judge harness ended after 0 of 3 tests (killed by signal 9)" in outcome.logs
+        assert elapsed < 3  # far inside the 17 s the judge would wait for the harness
+        sid = int(report.read_text())
+        deadline = time.monotonic() + 1
+        while live_session_members(sid) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert live_session_members(sid) == []
+
+    def test_results_before_the_harness_died_are_kept(self):
+        source = ("import os\n"
+                  "line = input()\n"
+                  "if line == 'die':\n"
+                  "    os.kill(os.getppid(), 9)\n"
+                  "print(line)\n")
+        outcome = self.judge(source, ["b\n", "x\n", "die\n", "b\n"], expected="b\n")
+        assert [t.status for t in outcome.per_test] == [
+            Verdict.PASSED, Verdict.WRONG_ANSWER, Verdict.RUNTIME_ERROR, Verdict.RUNTIME_ERROR]
+        assert "judge harness ended after 2 of 4 tests" in outcome.logs
+
+    def test_a_harness_that_never_finishes_is_timed_out_by_the_judge(self, monkeypatch):
+        from agentdag.adapters import sandbox
+
+        monkeypatch.setattr(sandbox, "_HARNESS_SLACK_S", 0.5)
+        source = "import os, signal\nos.kill(os.getppid(), signal.SIGSTOP)\nprint('ok')\n"
+        started = time.monotonic()
+        outcome = self.judge(source, ["", ""], expected="ok\n", time_limit_ms=250)
+        elapsed = time.monotonic() - started
+        assert [t.status for t in outcome.per_test] == [Verdict.RUNTIME_ERROR] * 2
+        assert "judge harness ended after 0 of 2 tests (timed out after 1 s)" in outcome.logs
+        assert elapsed < 3
+
+
+@pytest.mark.skipif(shutil.which("sh") is None, reason="needs a POSIX shell")
+class TestExecPath:
+    """A command that is not the harness's own interpreter is exec'd in the
+    fork, under the same supervision."""
+
+    SH = {"sh": {"run_cmd": ["sh", "{src}"], "source_name": "main.sh"}}
+
+    def judge(self, source: str, expected: str = "", **kwargs):
+        executor = LocalExecutor(config_from_mapping({"executor": {
+            "languages": self.SH, "max_output_bytes": kwargs.get("cap", 65536)}}).executor)
+        return executor.execute(source, "sh", [TestCase(input="hi\n", expected_output=expected)],
+                                time_limit_ms=kwargs.get("time_limit_ms", 4000),
+                                memory_limit_mb=256)
+
+    def test_passed(self):
+        assert self.judge("read line\necho \"$line\"\n", expected="hi\n").verdict \
+            is Verdict.PASSED
+
+    def test_time_limit_exceeded(self):
+        outcome = self.judge("while :; do :; done\n", time_limit_ms=300)
+        assert outcome.verdict is Verdict.TIME_LIMIT_EXCEEDED
+        assert "time limit exceeded (300 ms)" in outcome.logs
+
+    def test_output_past_the_cap_is_clipped(self):
+        outcome = self.judge("i=0\nwhile [ $i -lt 3000 ]; do echo xxxxxxxxx; i=$((i+1)); done\n",
+                             expected="x", cap=1000)
+        assert outcome.verdict is Verdict.WRONG_ANSWER
+        assert outcome.per_test[0].actual_prefix == ("xxxxxxxxx\n" * 16)
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs procfs")
+    def test_leftover_child_is_killed(self, tmp_path):
+        report = tmp_path / "session"
+        source = f"sleep 3 &\necho $$ > {report}\nread line\necho \"$line\"\n"
+        started = time.monotonic()
+        outcome = self.judge(source, expected="hi\n", time_limit_ms=1000)
+        assert outcome.verdict is Verdict.PASSED
+        assert time.monotonic() - started < 0.7
+        sid = int(report.read_text())  # the shell leads the session
+        deadline = time.monotonic() + 1
+        while live_session_members(sid) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert live_session_members(sid) == []
 
 
 # -- remote loopback -----------------------------------------------------------

@@ -94,3 +94,46 @@ def test_yaml_is_read_and_written_only_in_dsl_and_config():
                  for hit in yaml_codec_uses(path)]
     assert offenders == []
     assert yaml_codec_uses(PACKAGE_ROOT / "dsl.py")  # the check sees real uses
+
+
+# perfbench's traced mode replaces ``sandbox.subprocess`` with a namespace
+# that holds only these two names.
+SANDBOX_SUBPROCESS_NAMES = {"run", "TimeoutExpired"}
+
+
+def test_the_sandbox_reaches_subprocess_only_through_run_and_timeout_expired():
+    tree = ast.parse((PACKAGE_ROOT / "adapters" / "sandbox.py").read_text(encoding="utf-8"))
+    attributes = [node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "subprocess"]
+    bare_names = [node for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "subprocess"]
+    from_imports = [node for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "subprocess"]
+    assert attributes and set(attributes) <= SANDBOX_SUBPROCESS_NAMES
+    assert len(bare_names) == len(attributes)  # never passed around whole
+    assert from_imports == []
+
+
+# What the judge harness may import: it starts once per candidate, so every
+# module it loads costs every candidate, and every test forked from it
+# inherits the module's state. ``signal`` pulls in ``enum``; ``random`` would
+# be seeded once and give every test the same stream. ``_signal`` is the
+# builtin under ``signal``; the harness uses it only to restore default
+# signal handling before it execs a command.
+HARNESS_IMPORTS = {"marshal", "os", "resource", "select", "sys", "time", "_signal"}
+
+
+def test_the_judge_harness_imports_only_light_modules():
+    from agentdag.adapters.sandbox import _HARNESS
+
+    imported = set()
+    for node in ast.walk(ast.parse(_HARNESS)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        elif isinstance(node, ast.Name) and node.id in {"__import__", "importlib"}:
+            imported.add(node.id)
+    assert {"marshal", "os"} <= imported <= HARNESS_IMPORTS
+    assert not imported & {"signal", "enum", "random"}
