@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
-import io
 import marshal
 import os
+import select
 import signal
 import subprocess
 import sys
 import tempfile
 import threading
+import time
+import weakref
 from pathlib import Path
 from typing import Sequence
 
@@ -26,36 +28,63 @@ _HARNESS_SLACK_S = 5.0
 # environment; API keys and PYTHONPATH stay behind.
 _ENV_KEYS = ("PATH", "LANG")
 
-# One harness judges all tests of one candidate, under ``python3 -I -S -c``.
-# It reads ``(code, argv, inputs, limit_s, limit_as, keep)`` as marshal from
-# stdin and, for each input, forks a child that leads a session of its own
-# under RLIMIT_AS. A child runs ``code`` itself with ``sys.argv = ["-c",
-# *argv]``, as ``python3 -I -S -c code *argv`` would, or execs ``argv`` when
-# ``code`` is None. The harness feeds the child's stdin, keeps the first
-# ``keep`` bytes of its stdout and stderr, and kills its process group when
-# it exits or its time is up. It writes marshal frames to stdout: the
-# child's pid once it is forked, then ``(exit code or None on timeout,
-# stdout, stderr, ended by an uncaught MemoryError)``; a str frame says why a
-# child could not start. Its imports are kept light (no signal, which pulls
-# in enum), and it never touches sys.stdin or sys.stdout, so a child
-# inherits them unread and unwritten.
+# A harness is a long-lived ``python3 -I -S -c`` process that judges one
+# candidate per job. A job is a length-prefixed marshal tuple ``(workdir,
+# code, argv, inputs, limit_s, limit_as, keep)`` read from stdin; for each
+# input the harness forks a child that moves to ``workdir`` and leads a
+# session of its own under RLIMIT_AS. A child runs ``code`` itself with
+# ``sys.argv = ["-c", *argv]``, as ``python3 -I -S -c code *argv`` would, or
+# execs ``argv`` when ``code`` is None. The harness feeds the child's stdin,
+# keeps the first ``keep`` bytes of its stdout and stderr, and kills its
+# process group when it exits or its time is up. It replies on stdout in
+# length-prefixed marshal frames: ``("pid", pid)`` once a child is forked,
+# then ``("result", (exit code or None on timeout, stdout, stderr, ended by
+# an uncaught MemoryError))``, or ``("error", why)`` when the child could not
+# start, which ends the job. Every job ends with ``("end", retiring)``; a
+# harness whose address-space size is no longer the one it had when it became
+# ready retires, so that every test starts from the footprint of a fresh
+# harness. It exits at end of file on stdin. Its imports are kept light (no
+# signal, which pulls in enum), and it never touches sys.stdin or sys.stdout,
+# so a child inherits them unread and unwritten.
 _HARNESS = """\
 import marshal, os, resource, select, sys, time
 
 SIGKILL = 9
 
 
+def read_exactly(size):
+    # None at end of file.
+    buffer = bytearray(size)
+    view = memoryview(buffer)
+    done = 0
+    while done < size:
+        count = os.readv(0, [view[done:]])
+        if not count:
+            return None
+        done += count
+    return buffer
+
+
 def read_job():
-    chunks = []
-    while chunk := os.read(0, 65536):
-        chunks.append(chunk)
-    return marshal.loads(b"".join(chunks))
+    size = read_exactly(8)
+    data = size and read_exactly(int.from_bytes(size, "little"))
+    return data and marshal.loads(data)
 
 
 def send(frame):
-    data = memoryview(marshal.dumps(frame))
+    data = marshal.dumps(frame)
+    data = memoryview(len(data).to_bytes(8, "little") + data)
     while data:
         data = data[os.write(1, data):]
+
+
+def footprint():
+    # The address-space size, in pages, that a child forked now would start with.
+    fd = os.open("/proc/self/statm", os.O_RDONLY)
+    try:
+        return int(os.read(fd, 64).split()[0])
+    finally:
+        os.close(fd)
 
 
 def exit_status(code):
@@ -95,6 +124,7 @@ def finish(status):
 
 def child(in_r, out_w, err_w, report_w, others):
     try:
+        os.chdir(workdir)
         os.setsid()
         resource.setrlimit(resource.RLIMIT_AS, (limit_as, limit_as))
         os.dup2(in_r, 0)
@@ -191,34 +221,46 @@ def supervise(pid, deadline, data, in_w, out_r, err_r):
     return returncode, bytes(kept[out_r]), bytes(kept[err_r])
 
 
-code, argv, inputs, limit_s, limit_as, keep = read_job()
 # The first compile() in a process builds the compiler's AST types, about
 # 2 ms; built here once, they are not built again in every child.
 compile("", "<harness>", "exec")
-for data in inputs:
-    in_r, in_w = os.pipe()
-    out_r, out_w = os.pipe()
-    err_r, err_w = os.pipe()
-    report_r, report_w = os.pipe()
-    for fd in (in_w, out_r, err_r, report_r):
-        os.set_blocking(fd, False)
-    deadline = time.monotonic() + limit_s
-    pid = os.fork()
-    if pid == 0:
-        child(in_r, out_w, err_w, report_w, (in_w, out_r, err_r, report_r))
-    for fd in (in_r, out_w, err_w, report_w):
-        os.close(fd)
-    send(pid)
-    returncode, out, err = supervise(pid, deadline, data, in_w, out_r, err_r)
-    try:
-        report = os.read(report_r, 65536)
-    except BlockingIOError:  # held open by a process that escaped the group
-        report = b""
-    os.close(report_r)
-    if report.startswith(b"!"):
-        send(report[1:].decode("utf-8", "replace"))
+# The first 64 KB read buffer grows the heap for good; allocated here, that
+# growth is part of the footprint every child starts with.
+bytes(65536)
+ready = footprint()
+while job := read_job():
+    workdir, code, argv, inputs, limit_s, limit_as, keep = job
+    for data in inputs:
+        in_r, in_w = os.pipe()
+        out_r, out_w = os.pipe()
+        err_r, err_w = os.pipe()
+        report_r, report_w = os.pipe()
+        for fd in (in_w, out_r, err_r, report_r):
+            os.set_blocking(fd, False)
+        deadline = time.monotonic() + limit_s
+        pid = os.fork()
+        if pid == 0:
+            child(in_r, out_w, err_w, report_w, (in_w, out_r, err_r, report_r))
+        for fd in (in_r, out_w, err_w, report_w):
+            os.close(fd)
+        send(("pid", pid))
+        returncode, out, err = supervise(pid, deadline, data, in_w, out_r, err_r)
+        try:
+            report = os.read(report_r, 65536)
+        except BlockingIOError:  # held open by a process that escaped the group
+            report = b""
+        os.close(report_r)
+        if report.startswith(b"!"):
+            send(("error", report[1:].decode("utf-8", "replace")))
+            break
+        send(("result", (returncode, out, err, report == b"M")))
+    # Dropped before the footprint is taken: a job's inputs may have grown
+    # the heap, and every later child would start with the growth.
+    job = inputs = data = out = err = None
+    retiring = footprint() != ready
+    send(("end", retiring))
+    if retiring:
         break
-    send((returncode, out, err, report == b"M"))
 os._exit(0)
 """
 
@@ -236,28 +278,147 @@ def _child_env() -> dict[str, str]:
     return {key: os.environ[key] for key in _ENV_KEYS if key in os.environ}
 
 
-def _frames(data: bytes) -> list:
-    """The marshal frames a harness wrote, up to the first cut-short one."""
-    stream = io.BytesIO(data)
-    frames = []
-    try:
-        while stream.tell() < len(data):
-            frames.append(marshal.load(stream))
-    except (EOFError, ValueError, TypeError):
-        pass
-    return frames
+class _Harness:
+    """One harness process, owned by the process that spawned it, and the
+    judge's ends of its pipes."""
+
+    def __init__(self):
+        job_r, self.jobs = os.pipe()
+        self.replies, reply_w = os.pipe()
+        self.errors, err_w = os.pipe()
+        argv = [sys.executable, "-I", "-S", "-c", _HARNESS]
+        actions = [(os.POSIX_SPAWN_DUP2, job_r, 0), (os.POSIX_SPAWN_DUP2, reply_w, 1),
+                   (os.POSIX_SPAWN_DUP2, err_w, 2)]
+        try:
+            self.pid = os.posix_spawn(argv[0], argv, _child_env(), file_actions=actions,
+                                      setsid=True)
+        except OSError:
+            for fd in (self.jobs, self.replies, self.errors):
+                os.close(fd)
+            raise
+        finally:
+            for fd in (job_r, reply_w, err_w):
+                os.close(fd)
+        self.owner = os.getpid()
+        self.closed = False
+        for fd in (self.jobs, self.replies, self.errors):
+            os.set_blocking(fd, False)
+
+    def judge(self, job: bytes, count: int,
+              timeout_s: float) -> tuple[list[tuple], int | None, str | None]:
+        """Sends one job of ``count`` tests and reads its frames.
+
+        Returns the results in order, the pid of a child left without one,
+        and None, or how the harness ended when it died, ran out of time or
+        wrote a frame out of step. A harness that ended or retires is closed;
+        one that could not launch the program is closed and raises. No wait
+        outlasts the timeout.
+        """
+        deadline = time.monotonic() + timeout_s
+        pending = memoryview(len(job).to_bytes(8, "little") + job)
+        buffer = bytearray()
+        results: list[tuple] = []
+        running = None  # the pid of a child that has no result yet
+        # poll, not select: the judge's own descriptors may be past FD_SETSIZE.
+        poller = select.poll()
+        poller.register(self.replies, select.POLLIN)
+        poller.register(self.jobs, select.POLLOUT)
+        while True:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                self.close()
+                return results, running, f"timed out after {timeout_s:g} s"
+            ready = dict(poller.poll(left * 1000))
+            if self.jobs in ready:
+                try:
+                    pending = pending[os.write(self.jobs, pending):]
+                except BlockingIOError:
+                    pass
+                except BrokenPipeError:  # the harness is gone; its end of file follows
+                    pending = pending[:0]
+                if not pending:
+                    poller.unregister(self.jobs)
+            if self.replies not in ready:
+                continue
+            chunk = os.read(self.replies, 65536)
+            if not chunk:
+                return results, running, self._ended()
+            buffer += chunk
+            while len(buffer) >= 8:
+                size = int.from_bytes(buffer[:8], "little")
+                if len(buffer) < 8 + size:
+                    break
+                try:
+                    tag, payload = marshal.loads(buffer[8:8 + size])
+                except (EOFError, ValueError, TypeError):
+                    tag = payload = None
+                del buffer[:8 + size]
+                if tag == "pid" and running is None:
+                    running = payload
+                elif tag == "result" and running is not None:
+                    results.append(payload)
+                    running = None
+                elif tag == "error":
+                    self.close()
+                    raise SandboxError(f"failed to launch candidate program: {payload}")
+                elif tag == "end" and running is None and len(results) == count \
+                        and not buffer:
+                    if payload:  # it retires
+                        self.close()
+                    return results, None, None
+                else:
+                    self.close()
+                    return results, running, "wrote a frame out of step"
+
+    def _ended(self) -> str:
+        """Reaps a harness that closed its stdout and says how it ended."""
+        try:
+            err = os.read(self.errors, 65536)
+        except BlockingIOError:
+            err = b""
+        returncode = self.close()
+        if returncode < 0:
+            return f"killed by signal {-returncode}"
+        ending = f"exit {returncode}"
+        if returncode != 0 and err.strip():
+            ending += f": {_clip(_decode(err).strip(), 400)}"
+        return ending
+
+    def close(self) -> int | None:
+        """Closes the judge's ends of the pipes and, in the process that
+        spawned the harness, kills and reaps it; returns its exit code there.
+        Only the first call does anything."""
+        if self.closed:
+            return None
+        self.closed = True
+        for fd in (self.jobs, self.replies, self.errors):
+            os.close(fd)
+        if self.owner != os.getpid():
+            return None
+        os.kill(self.pid, signal.SIGKILL)
+        _, status = os.waitpid(self.pid, 0)
+        return os.waitstatus_to_exitcode(status)
+
+
+def _close_all(harnesses: list[_Harness]) -> None:
+    while harnesses:
+        harnesses.pop().close()
 
 
 class LocalExecutor:
     """Runs candidate programs under wall-time and address-space limits.
 
-    One harness process judges all tests of a candidate. Each test runs in a
-    process and session of its own, forked from the harness, in the judge's
-    temporary workdir, with only ``PATH`` and ``LANG`` of the caller's
-    environment; its output is read as it comes and kept up to
-    ``max_output_bytes``. Compilations are serialized per language
-    toolchain; concurrent ``execute`` calls are throttled by the configured
-    worker cap. Linux only (the harness watches its children through pidfds).
+    One harness process judges all tests of a candidate. Harnesses live
+    across candidates: each is spawned on the first ``execute`` that finds
+    none idle, at most one per configured worker, and is replaced when it
+    ends abnormally. Each test runs in a process and session of its own,
+    forked from a harness, in the judge's temporary workdir, with only
+    ``PATH`` and ``LANG`` of the caller's environment; its output is read as
+    it comes and kept up to ``max_output_bytes``. Compilations are
+    serialized per language toolchain; concurrent ``execute`` calls are
+    throttled by the configured worker cap. Harnesses exit when their
+    executor is garbage-collected or its process exits. Linux only (the
+    harness watches its children through pidfds).
     """
 
     def __init__(self, config: ExecutorConfig | None = None):
@@ -266,6 +427,10 @@ class LocalExecutor:
         self._compile_locks: dict[str, threading.Lock] = {
             tag: threading.Lock() for tag in self.config.languages
         }
+        # Idle harnesses; one taken by an execute is returned when it is done.
+        # Only list.pop() and list.append() touch it, each atomic.
+        self._idle: list[_Harness] = []
+        weakref.finalize(self, _close_all, self._idle)
 
     # -- public API ---------------------------------------------------------
 
@@ -363,46 +528,46 @@ class LocalExecutor:
 
     def _run_harness(self, code: str | None, argv: list[str], workdir: str,
                      tests: Sequence[TestCase], time_limit_ms: int,
-                     memory_limit_mb: int) -> tuple[list[tuple], str]:
-        """Runs every test in one harness process. Returns one result tuple
-        per test that got one, in order, and how the harness ended; a harness
-        that ended early leaves no process of the test it was running."""
+                     memory_limit_mb: int) -> tuple[list[tuple], str | None]:
+        """Runs every test on one harness. Returns one result tuple per test
+        that got one, in order, and how the harness ended, if it did; a
+        harness that ended early leaves no process of the test it was
+        running."""
         job = marshal.dumps((
-            code, argv, [test.input.encode("utf-8") for test in tests], time_limit_ms / 1000,
-            memory_limit_mb * 1024 * 1024, self.config.max_output_bytes + 1,
+            workdir, code, argv, [test.input.encode("utf-8") for test in tests],
+            time_limit_ms / 1000, memory_limit_mb * 1024 * 1024,
+            self.config.max_output_bytes + 1,
         ))
         timeout_s = len(tests) * time_limit_ms / 1000 + _HARNESS_SLACK_S
+        harness = self._harness()
         try:
-            proc = subprocess.run(
-                [sys.executable, "-I", "-S", "-c", _HARNESS], input=job, capture_output=True,
-                cwd=workdir, env=_child_env(), start_new_session=True, timeout=timeout_s,
-            )
-            out = proc.stdout
-            ending = (f"killed by signal {-proc.returncode}" if proc.returncode < 0
-                      else f"exit {proc.returncode}")
-            if proc.returncode != 0 and proc.stderr.strip():
-                ending += f": {_clip(_decode(proc.stderr).strip(), 400)}"
-        except subprocess.TimeoutExpired as exc:
-            out, ending = exc.stdout or b"", f"timed out after {timeout_s:g} s"
-        except OSError as exc:
-            raise SandboxError(f"failed to start the judge harness: {exc}") from exc
-
-        results: list[tuple] = []
-        running = None  # the pid of a child that has no result yet
-        for frame in _frames(out):
-            if isinstance(frame, int):
-                running = frame
-            elif isinstance(frame, str):
-                raise SandboxError(f"failed to launch candidate program: {frame}")
-            else:
-                results.append(frame)
-                running = None
+            results, running, ending = harness.judge(job, len(tests), timeout_s)
+        except BaseException:
+            harness.close()
+            raise
+        if not harness.closed:
+            self._idle.append(harness)
         if running is not None:
             try:
                 os.killpg(running, signal.SIGKILL)
             except ProcessLookupError:  # nothing is left in it
                 pass
         return results, ending
+
+    def _harness(self) -> _Harness:
+        """An idle harness of this process, or a new one."""
+        while True:
+            try:
+                harness = self._idle.pop()
+            except IndexError:
+                break
+            if harness.owner == os.getpid():
+                return harness
+            harness.close()  # inherited by a fork: its spawner's to end
+        try:
+            return _Harness()
+        except OSError as exc:
+            raise SandboxError(f"failed to start the judge harness: {exc}") from exc
 
     def _verdict(self, index: int, test: TestCase, result: tuple, in_fork: bool,
                  time_limit_ms: int, memory_limit_mb: int, log_lines: list[str]) -> TestResult:

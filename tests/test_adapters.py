@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import gc
 import itertools
 import json
 import os
@@ -15,7 +16,6 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -523,8 +523,8 @@ class TestJudgeVerdicts:
 
 
 class TestJudgeHarness:
-    """One harness process per candidate: what it keeps from a plain run, and
-    what happens when it does not finish."""
+    """One harness process judges all tests of a candidate: what it keeps from
+    a plain run, and what happens when it does not finish."""
 
     def judge(self, source: str, stdins: list[str], expected: str = "", **limits):
         tests = [TestCase(input=stdin, expected_output=expected) for stdin in stdins]
@@ -577,23 +577,6 @@ class TestJudgeHarness:
         outcome = self.judge(source, [""], expected="[]\n")
         assert outcome.verdict is Verdict.PASSED, outcome.per_test[0].actual_prefix
 
-    def test_one_harness_run_per_execute(self, monkeypatch):
-        from agentdag.adapters import sandbox
-
-        calls = []
-
-        def counting_run(*args, **kwargs):
-            calls.append(args[0])
-            return subprocess.run(*args, **kwargs)
-
-        monkeypatch.setattr(sandbox, "subprocess", SimpleNamespace(
-            run=counting_run, TimeoutExpired=subprocess.TimeoutExpired))
-        outcome = self.judge("print(input())", ["1\n", "2\n", "3\n", "4\n"])
-        assert [t.status for t in outcome.per_test] == [Verdict.WRONG_ANSWER] * 4
-        assert len(calls) == 1
-        self.judge("def broken(:\n    pass\n", ["1\n"])  # never reaches the tests
-        assert len(calls) == 1
-
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs procfs")
     def test_a_program_that_kills_the_harness_is_judged_not_raised(self, tmp_path):
         report = tmp_path / "session"
@@ -638,6 +621,198 @@ class TestJudgeHarness:
         assert [t.status for t in outcome.per_test] == [Verdict.RUNTIME_ERROR] * 2
         assert "judge harness ended after 0 of 2 tests (timed out after 1 s)" in outcome.logs
         assert elapsed < 3
+
+
+def process_state(pid: int) -> str | None:
+    """The state letter of process ``pid``, or None once it is reaped."""
+    try:
+        stat = Path("/proc", str(pid), "stat").read_text()
+    except OSError:
+        return None
+    return stat.rsplit(")", 1)[1].split()[0]
+
+
+def wait_until_not_running(pid: int, seconds: float = 5) -> str | None:
+    deadline = time.monotonic() + seconds
+    while process_state(pid) not in (None, "Z") and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return process_state(pid)
+
+
+# Prints the pid of the harness that judges it.
+PRINT_HARNESS = "import os\nprint(os.getppid())\n"
+# Prints its address-space size, in kB.
+PRINT_VMSIZE = "print(open('/proc/self/status').read().split('VmSize:')[1].split()[0])\n"
+
+
+def harness_of(executor: LocalExecutor) -> int:
+    return int(judge_one(executor, PRINT_HARNESS).per_test[0].actual_prefix)
+
+
+def judge_one(executor: LocalExecutor, source: str, language: str = "python", **limits):
+    return executor.execute(source, language, [TestCase(input="", expected_output="ok\n")],
+                            time_limit_ms=limits.get("time_limit_ms", 4000),
+                            memory_limit_mb=256)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs procfs")
+class TestHarnessPool:
+    """Harnesses outlive candidates: reused, bounded by the worker cap,
+    replaced when they end abnormally, owned by the process that spawned them
+    and ended with their executor."""
+
+    def test_successive_executes_are_served_by_one_harness(self):
+        executor = LocalExecutor()
+        first = harness_of(executor)
+        assert [harness_of(executor) for _ in range(3)] == [first] * 3
+        assert first != os.getpid()
+
+    def test_a_compile_error_never_reaches_a_harness(self, monkeypatch):
+        from agentdag.adapters import sandbox
+
+        jobs = []
+        judge = sandbox._Harness.judge
+
+        def counting_judge(harness, job, *args):
+            jobs.append(job)
+            return judge(harness, job, *args)
+
+        monkeypatch.setattr(sandbox._Harness, "judge", counting_judge)
+        executor = LocalExecutor()
+        outcome = executor.execute("print(input())", "python",
+                                   [TestCase(input=f"{i}\n", expected_output="") for i in range(4)],
+                                   time_limit_ms=4000, memory_limit_mb=256)
+        assert [t.status for t in outcome.per_test] == [Verdict.WRONG_ANSWER] * 4
+        assert len(jobs) == 1
+        outcome = judge_one(executor, "def broken(:\n    pass\n")
+        assert outcome.verdict is Verdict.COMPILATION_ERROR
+        assert len(jobs) == 1
+
+    def test_concurrent_executes_share_at_most_workers_harnesses(self, tmp_path):
+        executor = LocalExecutor(ExecutorConfig(workers=4))
+        # Each candidate leaves a file named after its test that holds the
+        # pid of its harness; odd candidates answer wrongly.
+        report = (f"open(os.path.join({str(tmp_path)!r}, f'{{n}}-{{os.getpid()}}'), 'w')"
+                  ".write(str(os.getppid()))\n")
+        outcomes = {}
+
+        def judge(k: int) -> None:
+            source = ("import os, time\n"
+                      "n = int(input())\n"
+                      f"{report}"
+                      "time.sleep(0.05)\n"
+                      f"print(n * n + {k % 2})\n")
+            tests = [TestCase(input=f"{10 * k + i}\n", expected_output=f"{(10 * k + i) ** 2}\n")
+                     for i in range(2)]
+            outcomes[k] = executor.execute(source, "python", tests,
+                                           time_limit_ms=4000, memory_limit_mb=256)
+
+        threads = [threading.Thread(target=judge, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert {k: o.verdict for k, o in outcomes.items()} == {
+            k: Verdict.WRONG_ANSWER if k % 2 else Verdict.PASSED for k in range(8)}
+        reports = list(tmp_path.iterdir())
+        assert len(reports) == 16
+        harnesses = {int(report.read_text()) for report in reports}
+        assert 1 <= len(harnesses) <= 4
+
+    @pytest.mark.parametrize("ending", ["killed", "stopped", "launch failure"])
+    def test_a_harness_that_ends_abnormally_is_replaced(self, ending, monkeypatch):
+        from agentdag.adapters import sandbox
+
+        monkeypatch.setattr(sandbox, "_HARNESS_SLACK_S", 0.5)
+        executor = executor_for({"broken": {"run_cmd": ["/nonexistent/agentdag-run", "{src}"]}})
+        first = harness_of(executor)
+        if ending == "killed":
+            outcome = judge_one(executor, "import os\nos.kill(os.getppid(), 9)\n")
+            assert "judge harness ended after 0 of 1 tests (killed by signal 9)" in outcome.logs
+        elif ending == "stopped":
+            outcome = judge_one(executor, "import os\nos.kill(os.getppid(), 19)\n",
+                                time_limit_ms=250)
+            assert "judge harness ended after 0 of 1 tests (timed out after 0.75 s)" \
+                in outcome.logs
+        else:
+            with pytest.raises(SandboxError, match="failed to launch candidate program"):
+                judge_one(executor, "echo ok", language="broken")
+        assert process_state(first) is None  # killed and reaped
+        outcome = judge_one(executor, "import os\nprint('ok')\n")
+        assert outcome.verdict is Verdict.PASSED, outcome.logs
+        second = harness_of(executor)
+        assert second != first
+
+    def test_a_forked_judge_spawns_its_own_harness(self):
+        executor = LocalExecutor()
+        parent_harness = harness_of(executor)
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(read_end)
+                os.write(write_end, str(harness_of(executor)).encode())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        with os.fdopen(read_end, "rb") as reader:
+            child_harness = int(reader.read())
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert child_harness not in (parent_harness, pid)
+        # The fork left the parent's harness alone, and its own harness sees
+        # the end of its job pipe once the fork has exited.
+        assert harness_of(executor) == parent_harness
+        assert wait_until_not_running(child_harness) in (None, "Z")
+
+    def test_two_successive_candidates_each_run_in_their_own_workdir(self):
+        executor = LocalExecutor()
+        source = ("import os\n"
+                  "print(os.getcwd() == os.path.dirname(__file__), os.getppid(), os.getcwd())\n")
+        first, second = (judge_one(executor, source).per_test[0].actual_prefix.split()
+                         for _ in range(2))
+        assert first[0] == second[0] == "True"
+        assert first[1] == second[1]  # one harness judged both
+        assert first[2] != second[2]
+
+    def test_a_garbage_collected_executor_reaps_its_harness(self):
+        executor = LocalExecutor()
+        harness = harness_of(executor)
+        assert process_state(harness) not in (None, "Z")
+        del executor
+        gc.collect()
+        assert process_state(harness) is None
+
+    def test_a_judge_that_exits_abruptly_leaves_no_harness_running(self):
+        script = (
+            "import os\n"
+            "from agentdag.adapters import LocalExecutor\n"
+            "from agentdag.problem import TestCase\n"
+            "outcome = LocalExecutor().execute('import os\\nprint(os.getppid())', 'python',\n"
+            "                                  [TestCase('', '')], time_limit_ms=4000,\n"
+            "                                  memory_limit_mb=256)\n"
+            "print(os.getpid(), outcome.per_test[0].actual_prefix, flush=True)\n"
+            "os._exit(0)\n"
+        )
+        src_root = str(Path(agentdag.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src_root), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        judge, harness = map(int, proc.stdout.split())
+        assert harness != judge
+        assert wait_until_not_running(harness) in (None, "Z")
+
+    def test_a_large_job_leaves_no_footprint_on_later_candidates(self):
+        fresh = int(judge_one(LocalExecutor(), PRINT_VMSIZE).per_test[0].actual_prefix)
+        executor = LocalExecutor(ExecutorConfig(workers=1))
+        big = "x" * (3 << 20)
+        outcome = executor.execute("print(len(input()))", "python",
+                                   [TestCase(input=big, expected_output=f"{len(big)}\n")] * 5,
+                                   time_limit_ms=4000, memory_limit_mb=256)
+        assert outcome.verdict is Verdict.PASSED, outcome.logs
+        after = int(judge_one(executor, PRINT_VMSIZE).per_test[0].actual_prefix)
+        assert after <= fresh + 512
 
 
 @pytest.mark.skipif(shutil.which("sh") is None, reason="needs a POSIX shell")

@@ -115,12 +115,12 @@ def test_the_sandbox_reaches_subprocess_only_through_run_and_timeout_expired():
     assert from_imports == []
 
 
-# What the judge harness may import: it starts once per candidate, so every
-# module it loads costs every candidate, and every test forked from it
-# inherits the module's state. ``signal`` pulls in ``enum``; ``random`` would
-# be seeded once and give every test the same stream. ``_signal`` is the
-# builtin under ``signal``; the harness uses it only to restore default
-# signal handling before it execs a command.
+# What the judge harness may import. A harness no longer starts once per
+# candidate, but every test forked from it still inherits each module it
+# loaded, with the module's state, so the rule stays. ``signal`` pulls in
+# ``enum``; ``random`` would be seeded once and give every test the same
+# stream. ``_signal`` is the builtin under ``signal``; the harness uses it
+# only to restore default signal handling before it execs a command.
 HARNESS_IMPORTS = {"marshal", "os", "resource", "select", "sys", "time", "_signal"}
 
 
