@@ -1,37 +1,17 @@
-"""Adapter layer: policy models, role backends, and code executors."""
+"""Adapter layer: policy models, role backends, and code executors.
 
-from .base import (
-    AdapterError,
-    AgentRequest,
-    AgentResponse,
-    MessagePart,
-    PolicyAdapter,
-    RoleBackend,
-    Sandbox,
-    SandboxError,
-    ScriptExhausted,
-    TokenUsage,
-    estimate_tokens,
-)
-from .remote import RemotePolicy, RemoteRoleBackend
-from .sandbox import LocalExecutor
-from .scripted import ScriptedPolicy, ScriptedRoleBackend
+Names load on first use, as in the top-level package.
+"""
 
-__all__ = [
-    "AdapterError",
-    "AgentRequest",
-    "AgentResponse",
-    "LocalExecutor",
-    "MessagePart",
-    "PolicyAdapter",
-    "RemotePolicy",
-    "RemoteRoleBackend",
-    "RoleBackend",
-    "Sandbox",
-    "SandboxError",
-    "ScriptExhausted",
-    "ScriptedPolicy",
-    "ScriptedRoleBackend",
-    "TokenUsage",
-    "estimate_tokens",
-]
+from .. import lazy_exports
+
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "base": (
+        "AdapterError", "AgentRequest", "AgentResponse", "MessagePart", "PolicyAdapter",
+        "RoleBackend", "Sandbox", "SandboxError", "ScriptExhausted", "TokenUsage",
+        "estimate_tokens",
+    ),
+    "remote": ("RemotePolicy", "RemoteRoleBackend"),
+    "sandbox": ("LocalExecutor",),
+    "scripted": ("ScriptedPolicy", "ScriptedRoleBackend"),
+})

@@ -47,8 +47,8 @@ class _ChatClient:
             except (OSError, http.client.HTTPException) as exc:  # transport, timeouts
                 last_error = exc
                 continue
-            if status >= 500:
-                last_error = AdapterError(f"server error {status} from {self._endpoint.url}")
+            if status >= 500 or status == 429:  # a server fault, or rate limiting
+                last_error = AdapterError(f"HTTP {status} from {self._endpoint.url}")
                 continue
             text = body.decode("utf-8", "replace")
             if status != 200:

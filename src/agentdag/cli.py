@@ -11,15 +11,11 @@ import argparse
 import json
 import shlex
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Sequence
 
 from . import jsonio
 from .adapters.base import AdapterError, PolicyAdapter, RoleBackend, SandboxError
-from .adapters.remote import RemotePolicy, RemoteRoleBackend
-from .adapters.sandbox import LocalExecutor
-from .adapters.scripted import ScriptedPolicy, ScriptedRoleBackend
 from .config import ConfigError, RunConfig, load_config, parse_weights
 from .corpus import (
     CorpusFilterConfig,
@@ -30,18 +26,13 @@ from .corpus import (
 )
 from .dsl import CheckResult, ErrorClass, check_topology, check_yaml, fenced_blocks
 from .graph import cost_estimate, decode_topology, density_from_counts, density_scores
-from .orchestrator import EpisodeRunner
 from .problem import ProblemSpec, iter_problems, load_problem
-from .rewards import (
-    EPS_STD,
-    GrpoBatch,
-    TrajectoryLogProbs,
-    grpo_surrogate,
-    trajectory_return,
-    turn_reward,
-)
 from .roles import DEFAULT_ROLE_POOL
 from .verdicts import Verdict
+
+# Modules that only some commands need (the orchestrator, the judge, the
+# remote transport, rewards) are imported inside those commands, so that
+# `validate` and `corpus` start without them.
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -134,6 +125,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
 # -- reward -------------------------------------------------------------------
 
 def _cmd_reward(args: argparse.Namespace) -> int:
+    from .rewards import trajectory_return, turn_reward
+
     data = json.loads(_read_text(args.file))
     if not isinstance(data, dict):
         raise ValueError("malformed reward input: expected a JSON object")
@@ -147,8 +140,8 @@ def _cmd_reward(args: argparse.Namespace) -> int:
                 breakdowns.append(turn_reward(ErrorClass(entry["error"]), weights=weights))
             else:
                 report = density_from_counts(
-                    int(entry["v_count"]), int(entry["e_count"]),
-                    int(entry["s"]), int(entry["difficulty"]),
+                    jsonio.as_int(entry["v_count"]), jsonio.as_int(entry["e_count"]),
+                    jsonio.as_int(entry["s"]), jsonio.as_int(entry["difficulty"]),
                 )
                 breakdowns.append(turn_reward(None, report=report,
                                               verdict=Verdict(entry["verdict"]),
@@ -168,15 +161,20 @@ def _cmd_reward(args: argparse.Namespace) -> int:
 # -- grpo ---------------------------------------------------------------------
 
 def _cmd_grpo_adv(args: argparse.Namespace) -> int:
+    from .rewards import EPS_STD, GrpoBatch
+
     returns = json.loads(args.returns)
     if not isinstance(returns, list):
         raise ValueError("--returns must be a JSON array of numbers")
-    batch = GrpoBatch.from_returns([float(r) for r in returns], eps_std=args.eps_std)
+    eps_std = EPS_STD if args.eps_std is None else args.eps_std
+    batch = GrpoBatch.from_returns([float(r) for r in returns], eps_std=eps_std)
     _print_json(batch.to_dict())
     return EXIT_OK
 
 
 def _cmd_grpo_surrogate(args: argparse.Namespace) -> int:
+    from .rewards import TrajectoryLogProbs, grpo_surrogate
+
     data = json.loads(_read_text(args.file))
     try:
         advantages = [float(a) for a in data["advantages"]]
@@ -229,10 +227,14 @@ def _build_adapters(spec: str | None, config: RunConfig
     if spec == "remote":
         if not config.policy.url or not config.roles.url:
             raise ConfigError("remote runs need 'url' under both policy and roles in the config")
+        from .adapters.remote import RemotePolicy, RemoteRoleBackend
+
         policy = RemotePolicy(config.policy, system=config.policy_system_prompt)
         roles = RemoteRoleBackend(config.roles)
         return policy, roles
     if spec.startswith("scripted:"):
+        from .adapters.scripted import ScriptedPolicy, ScriptedRoleBackend
+
         bundle = _load_bundle(spec.split(":", 1)[1])
         policy = ScriptedPolicy(bundle["policy"])
         delay = bundle.get("delay_range")
@@ -249,6 +251,11 @@ def _build_adapters(spec: str | None, config: RunConfig
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+
+    from .adapters.sandbox import LocalExecutor
+    from .orchestrator import EpisodeRunner
+
     config = load_config(args.config)
     problems: list[ProblemSpec] = [load_problem(p) for p in args.problem or []]
     if args.problems:
@@ -367,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     grpo_sub = p.add_subparsers(dest="grpo_command", required=True)
     g = grpo_sub.add_parser("adv", help="standardized advantages for one group")
     g.add_argument("--returns", required=True, help="JSON array of returns")
-    g.add_argument("--eps-std", type=float, default=EPS_STD)
+    g.add_argument("--eps-std", type=float, default=None)
     g.set_defaults(func=_cmd_grpo_adv)
     g = grpo_sub.add_parser("surrogate", help="clipped surrogate objective")
     g.add_argument("file", help="JSON file, or - for stdin")

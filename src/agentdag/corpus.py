@@ -11,8 +11,6 @@ stable under refiltering.
 from __future__ import annotations
 
 import hashlib
-import subprocess
-import statistics
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -27,7 +25,7 @@ from .dsl import (
     validate_logic,
 )
 from .graph import DensityReport, LayeredDag, decode_topology, density_scores, n_max_nodes
-from .jsonio import read_jsonl, write_jsonl
+from .jsonio import as_int, read_jsonl, write_jsonl
 from .roles import DEFAULT_ROLE_POOL
 
 REASONS = ("syntax", "schema", "logic", "duplicate", "density_band")
@@ -56,8 +54,8 @@ class CorpusRecord:
             return cls(
                 id=str(data["id"]),
                 problem_id=str(data["problem_id"]),
-                difficulty=None if data.get("difficulty") is None else int(data["difficulty"]),
-                turn_index=int(data.get("turn_index", 1)),
+                difficulty=None if data.get("difficulty") is None else as_int(data["difficulty"]),
+                turn_index=as_int(data.get("turn_index", 1)),
                 yaml_text=str(data["yaml_text"]),
                 prior_id=None if data.get("prior_id") is None else str(data["prior_id"]),
             )
@@ -126,6 +124,8 @@ class _Accepted:
 
 
 def _run_validator(cmd: Sequence[str], yaml_text: str) -> tuple[bool, str]:
+    import subprocess  # only when a validator is configured
+
     try:
         proc = subprocess.run(
             list(cmd), input=yaml_text, capture_output=True, text=True, timeout=60,
@@ -237,6 +237,8 @@ def _histogram(values: Iterable[int]) -> dict[str, int]:
 
 
 def _quantiles(values: Sequence[float]) -> dict[str, float]:
+    import statistics  # only `corpus stats` needs it, and it pulls in fractions
+
     ordered = sorted(values)
     if len(ordered) == 1:
         lone = ordered[0]

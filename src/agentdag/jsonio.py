@@ -21,6 +21,16 @@ def format_float(value: float) -> str:
     return format(value, ".17g")
 
 
+def as_int(value: Any) -> int:
+    """An integer field of decoded JSON.
+
+    ``int`` alone would read ``true`` as 1 and ``2.7`` as 2; both are refused.
+    """
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def dumps(data: Any, *, indent: int | None = None) -> str:
     """Serialize to JSON with 17-significant-digit floats.
 

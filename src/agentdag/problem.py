@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .jsonio import read_jsonl
+from .jsonio import as_int, read_jsonl
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,11 @@ class ProblemSpec:
                 id=str(data["id"]),
                 description=str(data["description"]),
                 tests=tests,
-                time_limit_ms=int(data.get("time_limit_ms", 2000)),
-                memory_limit_mb=int(data.get("memory_limit_mb", 512)),
-                difficulty=None if data.get("difficulty") is None else int(data["difficulty"]),
+                time_limit_ms=as_int(data.get("time_limit_ms", 2000)),
+                memory_limit_mb=as_int(data.get("memory_limit_mb", 512)),
+                difficulty=None if data.get("difficulty") is None else as_int(data["difficulty"]),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed problem record: {exc}") from exc
 
     def to_dict(self) -> dict:

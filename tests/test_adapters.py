@@ -975,6 +975,12 @@ class TestRemoteAdapters:
         with pytest.raises(AdapterError):
             policy.generate(ECHO_PROBLEM, "p")
 
+    def test_rate_limit_is_retried(self, stub_server):
+        stub_server.plan = [429]
+        policy = RemotePolicy(endpoint_for(stub_server, retries=1))
+        assert policy.generate(ECHO_PROBLEM, "p").content == "stub reply"
+        assert len(stub_server.requests) == 2
+
     def test_client_error_fails_without_retry(self, stub_server):
         stub_server.plan = [403]
         policy = RemotePolicy(endpoint_for(stub_server, retries=3))

@@ -250,6 +250,15 @@ class TestReward:
         code, _, err = run_cli(capsys, "reward", path)
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("field", ["v_count", "e_count", "s", "difficulty"])
+    @pytest.mark.parametrize("value", [True, 2.7])
+    def test_an_inexact_count_is_a_usage_error(self, tmp_path, capsys, field, value):
+        turn = {"verdict": "PASSED", "v_count": 2, "e_count": 1, "s": 2, "difficulty": 1}
+        path = write(tmp_path, "r.json", json.dumps({"turns": [dict(turn, **{field: value})]}))
+        code, out, err = run_cli(capsys, "reward", path)
+        assert code == 2 and out == ""
+        assert "expected an integer" in err
+
     def test_non_object_input_is_a_usage_error(self, tmp_path, capsys):
         path = write(tmp_path, "r.json", "[1]")
         code, _, err = run_cli(capsys, "reward", path)
@@ -409,6 +418,18 @@ class TestRun:
                                  "--policy", f"scripted:{run_fixture['bundle']}")
         assert code == 2 and out == ""
         assert f"{bad}:3: invalid JSON" in err
+
+    @pytest.mark.parametrize("field", ["time_limit_ms", "memory_limit_mb", "difficulty"])
+    @pytest.mark.parametrize("value", [True, 2.9])
+    def test_an_inexact_integer_in_a_problem_is_a_usage_error(self, run_fixture, capsys,
+                                                              field, value):
+        problem = write(run_fixture["tmp"], "inexact.json",
+                        json.dumps(dict(echo_problem_dict("echo"), **{field: value})))
+        code, out, err = run_cli(capsys, "run", "--problem", problem,
+                                 "--config", run_fixture["config"],
+                                 "--policy", f"scripted:{run_fixture['bundle']}")
+        assert code == 2 and out == ""
+        assert "malformed problem record" in err
 
     def test_no_problems_is_a_usage_error(self, run_fixture, capsys):
         code, _, err = run_cli(capsys, "run", "--config", run_fixture["config"])

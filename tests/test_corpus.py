@@ -326,3 +326,15 @@ class TestRecordIo:
         assert record.difficulty is None and record.prior_id is None
         with pytest.raises(ValueError, match="malformed corpus record"):
             CorpusRecord.from_dict({"problem_id": "p", "yaml_text": ""})
+
+    @pytest.mark.parametrize("field", ["difficulty", "turn_index"])
+    @pytest.mark.parametrize("value", [True, 2.7, "2.7"])
+    def test_an_inexact_integer_is_malformed(self, field, value):
+        data = {"id": "x", "problem_id": "p", "yaml_text": "difficulty: 1", field: value}
+        with pytest.raises(ValueError, match="malformed corpus record"):
+            CorpusRecord.from_dict(data)
+
+    @pytest.mark.parametrize("field", ["difficulty", "turn_index"])
+    def test_an_integral_float_is_an_integer(self, field):
+        data = {"id": "x", "problem_id": "p", "yaml_text": "difficulty: 1", field: 2.0}
+        assert getattr(CorpusRecord.from_dict(data), field) == 2

@@ -1,5 +1,6 @@
 """Module boundaries: no agentdag module imports another one's private names,
-and none imports a third-party package other than PyYAML.
+and none imports a third-party package other than PyYAML. Package names load
+on first use, and a command loads only the modules it needs.
 
 A private name shared across modules is a second copy of one module's
 internals waiting to happen; anything another module needs gets a public name.
@@ -8,10 +9,18 @@ internals waiting to happen; anything another module needs gets a public name.
 from __future__ import annotations
 
 import ast
+import importlib
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+import yaml
+
 import agentdag
+import agentdag.adapters
 
 PACKAGE_ROOT = Path(agentdag.__file__).parent
 
@@ -137,3 +146,132 @@ def test_the_judge_harness_imports_only_light_modules():
             imported.add(node.id)
     assert {"marshal", "os"} <= imported <= HARNESS_IMPORTS
     assert not imported & {"signal", "enum", "random"}
+
+
+# -- lazy package exports -------------------------------------------------------
+
+PACKAGES = [agentdag, agentdag.adapters]
+
+
+def submodules(package) -> list:
+    root = Path(package.__file__).parent
+    return [importlib.import_module(f"{package.__name__}.{path.stem}")
+            for path in sorted(root.glob("*.py")) if path.stem != "__init__"]
+
+
+@pytest.mark.parametrize("package", PACKAGES, ids=lambda p: p.__name__)
+def test_every_export_is_the_object_its_module_binds(package):
+    modules = submodules(package)
+    assert package.__all__
+    for name in package.__all__:
+        value = getattr(package, name)
+        holders = [module for module in modules if name in vars(module)]
+        assert holders, f"{package.__name__}.{name} is bound by none of its submodules"
+        assert all(vars(module)[name] is value for module in holders), name
+
+
+@pytest.mark.parametrize("package", PACKAGES, ids=lambda p: p.__name__)
+def test_star_import_binds_every_export(package):
+    namespace: dict = {}
+    exec(f"from {package.__name__} import *", namespace)
+    assert set(package.__all__) <= namespace.keys()
+
+
+@pytest.mark.parametrize("package", PACKAGES, ids=lambda p: p.__name__)
+def test_an_unknown_name_is_an_attribute_error(package):
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(package, "no_such_name")
+    assert not hasattr(package, "no_such_name")
+    with pytest.raises(ImportError):
+        exec(f"from {package.__name__} import no_such_name", {})
+
+
+def modules_loaded_by(body: str) -> tuple[object, set[str]]:
+    """Run ``body`` in a fresh interpreter; return its ``result`` and the
+    modules loaded by the end.
+
+    ``-S`` skips site hooks, which in some environments import modules such
+    as ``tempfile`` before any of our code runs and would hide them here.
+    """
+    script = f"import sys\nresult = None\n{body}\nprint(repr((result, list(sys.modules))))\n"
+    path = os.pathsep.join([str(PACKAGE_ROOT.parent), str(Path(yaml.__file__).parent.parent)])
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    result, modules = ast.literal_eval(proc.stdout.splitlines()[-1])
+    return result, set(modules)
+
+
+def test_importing_the_package_loads_no_submodule():
+    names, modules = modules_loaded_by("import agentdag, agentdag.adapters\n"
+                                       "result = dir(agentdag), dir(agentdag.adapters)")
+    assert {m for m in modules if m.startswith("agentdag.")} == {"agentdag.adapters"}
+    assert set(agentdag.__all__) <= set(names[0])
+    assert set(agentdag.adapters.__all__) <= set(names[1])
+
+
+def test_from_import_still_reaches_submodules():
+    kinds, modules = modules_loaded_by(
+        "from agentdag import cli, jsonio, dsl, orchestrator\n"
+        "from agentdag.adapters import sandbox\n"
+        "result = [type(m).__name__ for m in (cli, jsonio, dsl, orchestrator, sandbox)]")
+    assert kinds == ["module"] * 5
+    assert "agentdag.adapters.sandbox" in modules
+
+
+# What `validate` and `corpus filter` must start without: the episode engine,
+# the judge, the remote transport and the modules they bring in.
+NOT_FOR_VALIDATE_OR_CORPUS = {
+    "agentdag.orchestrator", "agentdag.rewards", "agentdag.adapters.remote",
+    "agentdag.adapters.sandbox", "agentdag.adapters.scripted", "concurrent.futures",
+    "urllib.request", "http.client", "subprocess", "tempfile", "statistics", "fractions",
+}
+
+VALID_TOPOLOGY = """\
+difficulty: 1
+steps:
+  - agents:
+      - id: planner
+        role: planning
+        ref: []
+"""
+
+
+@pytest.mark.parametrize("command", ["validate", "corpus filter"])
+def test_a_command_loads_only_what_it_uses(command, tmp_path):
+    topology = tmp_path / "topology.yaml"
+    topology.write_text(VALID_TOPOLOGY, encoding="utf-8")
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps(
+        {"id": "r1", "problem_id": "p", "yaml_text": VALID_TOPOLOGY}) + "\n", encoding="utf-8")
+    argv = {"validate": ["validate", str(topology)],
+            "corpus filter": ["corpus", "filter", str(corpus), str(tmp_path / "out.jsonl")]}
+    code, modules = modules_loaded_by(
+        f"from agentdag.cli import main\nresult = main({argv[command]!r})")
+    assert code == 0
+    assert "agentdag.dsl" in modules  # the command really ran
+    assert modules & NOT_FOR_VALIDATE_OR_CORPUS == set()
+
+
+# Modules on the episode hot path import everything at module level, so no
+# import cost lands inside a timed episode.
+HOT_PATH_MODULES = ("orchestrator.py", "dsl.py", "graph.py", "rewards.py", "jsonio.py",
+                    "adapters/sandbox.py")
+
+
+def function_level_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = set()
+    for function in ast.walk(tree):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            found.update(f"{path.relative_to(PACKAGE_ROOT)}:{node.lineno}"
+                         for node in ast.walk(function)
+                         if isinstance(node, (ast.Import, ast.ImportFrom)))
+    return sorted(found)
+
+
+def test_hot_path_modules_import_nothing_inside_functions():
+    offenders = [hit for name in HOT_PATH_MODULES
+                 for hit in function_level_imports(PACKAGE_ROOT / name)]
+    assert offenders == []
+    assert function_level_imports(PACKAGE_ROOT / "cli.py")  # the check sees real uses
