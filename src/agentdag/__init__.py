@@ -51,12 +51,12 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "graph": (
         "NODE_CAPS", "CostEstimate", "DagNode", "DensityReport", "Edge", "EdgeKind",
         "LayeredDag", "cost_estimate", "decode_topology", "density_from_counts",
-        "density_scores", "longest_path", "n_max_nodes",
+        "density_scores", "n_max_nodes",
     ),
     "orchestrator": (
         "AgentMessage", "CodeBlock", "EpisodeResult", "EpisodeRunner", "Observation",
         "Trajectory", "TurnRecord", "build_observation", "extract_code",
-        "render_history_prompt", "run_episode",
+        "render_history_prompt",
     ),
     "problem": ("ProblemSpec", "TestCase", "iter_problems", "load_problem"),
     "rewards": (

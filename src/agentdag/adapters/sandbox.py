@@ -1,8 +1,7 @@
-"""Local subprocess executor: desk-scale judging, not a security boundary."""
+"""Local executor: forks of long-lived harnesses judge candidates; not a security boundary."""
 
 from __future__ import annotations
 
-import marshal
 import os
 import select
 import signal
@@ -18,6 +17,7 @@ from typing import Sequence
 from ..config import ExecutorConfig, LanguageSpec
 from ..problem import TestCase
 from ..verdicts import ExecOutcome, TestResult, Verdict, classify_verdict, outputs_match
+from ._harness import job_frame, split_replies
 from .base import SandboxError
 
 _ACTUAL_PREFIX_CHARS = 160
@@ -27,242 +27,6 @@ _HARNESS_SLACK_S = 5.0
 # The only variables that candidates and compilers see of the caller's
 # environment; API keys and PYTHONPATH stay behind.
 _ENV_KEYS = ("PATH", "LANG")
-
-# A harness is a long-lived ``python3 -I -S -c`` process that judges one
-# candidate per job. A job is a length-prefixed marshal tuple ``(workdir,
-# code, argv, inputs, limit_s, limit_as, keep)`` read from stdin; for each
-# input the harness forks a child that moves to ``workdir`` and leads a
-# session of its own under RLIMIT_AS. A child runs ``code`` itself with
-# ``sys.argv = ["-c", *argv]``, as ``python3 -I -S -c code *argv`` would, or
-# execs ``argv`` when ``code`` is None. The harness feeds the child's stdin,
-# keeps the first ``keep`` bytes of its stdout and stderr, and kills its
-# process group when it exits or its time is up. It replies on stdout in
-# length-prefixed marshal frames: ``("pid", pid)`` once a child is forked,
-# then ``("result", (exit code or None on timeout, stdout, stderr, ended by
-# an uncaught MemoryError))``, or ``("error", why)`` when the child could not
-# start, which ends the job. Every job ends with ``("end", retiring)``; a
-# harness whose address-space size is no longer the one it had when it became
-# ready retires, so that every test starts from the footprint of a fresh
-# harness. It exits at end of file on stdin. Its imports are kept light (no
-# signal, which pulls in enum), and it never touches sys.stdin or sys.stdout,
-# so a child inherits them unread and unwritten.
-_HARNESS = """\
-import marshal, os, resource, select, sys, time
-
-SIGKILL = 9
-
-
-def read_exactly(size):
-    # None at end of file.
-    buffer = bytearray(size)
-    view = memoryview(buffer)
-    done = 0
-    while done < size:
-        count = os.readv(0, [view[done:]])
-        if not count:
-            return None
-        done += count
-    return buffer
-
-
-def read_job():
-    size = read_exactly(8)
-    data = size and read_exactly(int.from_bytes(size, "little"))
-    return data and marshal.loads(data)
-
-
-def send(frame):
-    data = marshal.dumps(frame)
-    data = memoryview(len(data).to_bytes(8, "little") + data)
-    while data:
-        data = data[os.write(1, data):]
-
-
-def footprint():
-    # The address-space size, in pages, that a child forked now would start with.
-    fd = os.open("/proc/self/statm", os.O_RDONLY)
-    try:
-        return int(os.read(fd, 64).split()[0])
-    finally:
-        os.close(fd)
-
-
-def exit_status(code):
-    # As the interpreter reads the code of an uncaught SystemExit.
-    if code is None:
-        return 0
-    if isinstance(code, int):
-        return code & 0xFF
-    try:
-        print(code, file=sys.stderr)
-    except BaseException:
-        pass
-    return 1
-
-
-def finish(status):
-    # What the interpreter does at exit before it tears down its heap; the
-    # teardown is left out, because in a fork it would copy the harness's.
-    threading = sys.modules.get("threading")
-    if threading is not None:
-        threading._shutdown()
-    atexit = sys.modules.get("atexit")
-    if atexit is not None:
-        atexit._run_exitfuncs()
-    try:
-        if sys.stdout is not None:
-            sys.stdout.flush()
-    except BaseException:
-        status = 120
-    try:
-        if sys.stderr is not None:
-            sys.stderr.flush()
-    except BaseException:
-        pass
-    return status
-
-
-def child(in_r, out_w, err_w, report_w, others):
-    try:
-        os.chdir(workdir)
-        os.setsid()
-        resource.setrlimit(resource.RLIMIT_AS, (limit_as, limit_as))
-        os.dup2(in_r, 0)
-        os.dup2(out_w, 1)
-        os.dup2(err_w, 2)
-        for fd in (in_r, out_w, err_w, *others):
-            os.close(fd)
-        if code is None:
-            import _signal
-            for signum in (_signal.SIGPIPE, _signal.SIGXFSZ):
-                _signal.signal(signum, _signal.SIG_DFL)
-            os.execvp(argv[0], argv)
-    except BaseException as exc:
-        try:
-            os.write(report_w, b"!" + str(exc).encode("utf-8", "replace"))
-        finally:
-            os._exit(127)
-    status = 1
-    try:
-        sys.argv = ["-c", *argv]
-        sys.setrecursionlimit(sys.getrecursionlimit() + 2)
-        memory_error = False
-        try:
-            exec(code, {"__name__": "__main__", "__builtins__": __builtins__})
-            status = 0
-        except SystemExit as exc:
-            status = exit_status(exc.code)
-            memory_error = isinstance(exc.__context__, MemoryError)
-        except BaseException as exc:
-            sys.excepthook(type(exc), exc, exc.__traceback__.tb_next)
-            memory_error = isinstance(exc, MemoryError)
-        status = finish(status)
-        if memory_error:
-            os.write(report_w, b"M")
-    finally:
-        os._exit(status)
-
-
-def take(fd, kept):
-    # Reads one chunk and keeps it up to the cap; False at end of file.
-    chunk = os.read(fd, 65536)
-    if len(kept) < keep:
-        kept += chunk[:keep - len(kept)]
-    return bool(chunk)
-
-
-def supervise(pid, deadline, data, in_w, out_r, err_r):
-    pidfd = os.pidfd_open(pid)
-    kept = {out_r: bytearray(), err_r: bytearray()}
-    readers = [out_r, err_r, pidfd]
-    pending = memoryview(data)
-    timed_out = False
-    while True:
-        if not pending and in_w is not None:
-            os.close(in_w)
-            in_w = None
-        # Checked on every pass: a flood of output keeps select() busy.
-        left = deadline - time.monotonic()
-        if left <= 0:
-            timed_out = True
-            break
-        writers = [] if in_w is None else [in_w]
-        readable, writable, _ = select.select(readers, writers, [], left)
-        for fd in readable:
-            if fd != pidfd and not take(fd, kept[fd]):
-                readers.remove(fd)
-        if writable:
-            try:
-                pending = pending[os.write(in_w, pending):]
-            except BlockingIOError:
-                pass
-            except BrokenPipeError:
-                pending = pending[:0]
-        if pidfd in readable:
-            break
-    try:
-        os.killpg(pid, SIGKILL)
-    except ProcessLookupError:  # the child ended before it led a group
-        os.kill(pid, SIGKILL)
-    # Take only what the pipes hold now: a writer that escaped the group
-    # must not keep the harness reading.
-    for fd in (out_r, err_r):
-        try:
-            while fd in readers and len(kept[fd]) < keep and take(fd, kept[fd]):
-                pass
-        except BlockingIOError:
-            pass
-    _, status = os.waitpid(pid, 0)
-    for fd in (pidfd, out_r, err_r):
-        os.close(fd)
-    if in_w is not None:
-        os.close(in_w)
-    returncode = None if timed_out else os.waitstatus_to_exitcode(status)
-    return returncode, bytes(kept[out_r]), bytes(kept[err_r])
-
-
-# The first compile() in a process builds the compiler's AST types, about
-# 2 ms; built here once, they are not built again in every child.
-compile("", "<harness>", "exec")
-# The first 64 KB read buffer grows the heap for good; allocated here, that
-# growth is part of the footprint every child starts with.
-bytes(65536)
-ready = footprint()
-while job := read_job():
-    workdir, code, argv, inputs, limit_s, limit_as, keep = job
-    for data in inputs:
-        in_r, in_w = os.pipe()
-        out_r, out_w = os.pipe()
-        err_r, err_w = os.pipe()
-        report_r, report_w = os.pipe()
-        for fd in (in_w, out_r, err_r, report_r):
-            os.set_blocking(fd, False)
-        deadline = time.monotonic() + limit_s
-        pid = os.fork()
-        if pid == 0:
-            child(in_r, out_w, err_w, report_w, (in_w, out_r, err_r, report_r))
-        for fd in (in_r, out_w, err_w, report_w):
-            os.close(fd)
-        send(("pid", pid))
-        returncode, out, err = supervise(pid, deadline, data, in_w, out_r, err_r)
-        try:
-            report = os.read(report_r, 65536)
-        except BlockingIOError:  # held open by a process that escaped the group
-            report = b""
-        os.close(report_r)
-        if report.startswith(b"!"):
-            send(("error", report[1:].decode("utf-8", "replace")))
-            break
-        send(("result", (returncode, out, err, report == b"M")))
-    # Dropped before the footprint is taken: a job's inputs may have grown
-    # the heap, and every later child would start with the growth.
-    job = inputs = data = out = err = None
-    retiring = footprint() != ready
-    send(("end", retiring))
-    if retiring:
-        break
-os._exit(0)
-"""
 
 
 def _clip(text: str, limit: int) -> str:
@@ -286,7 +50,7 @@ class _Harness:
         job_r, self.jobs = os.pipe()
         self.replies, reply_w = os.pipe()
         self.errors, err_w = os.pipe()
-        argv = [sys.executable, "-I", "-S", "-c", _HARNESS]
+        argv = [sys.executable, "-I", "-S", str(Path(__file__).with_name("_harness.py"))]
         actions = [(os.POSIX_SPAWN_DUP2, job_r, 0), (os.POSIX_SPAWN_DUP2, reply_w, 1),
                    (os.POSIX_SPAWN_DUP2, err_w, 2)]
         try:
@@ -315,7 +79,7 @@ class _Harness:
         outlasts the timeout.
         """
         deadline = time.monotonic() + timeout_s
-        pending = memoryview(len(job).to_bytes(8, "little") + job)
+        pending = memoryview(job)
         buffer = bytearray()
         results: list[tuple] = []
         running = None  # the pid of a child that has no result yet
@@ -344,15 +108,7 @@ class _Harness:
             if not chunk:
                 return results, running, self._ended()
             buffer += chunk
-            while len(buffer) >= 8:
-                size = int.from_bytes(buffer[:8], "little")
-                if len(buffer) < 8 + size:
-                    break
-                try:
-                    tag, payload = marshal.loads(buffer[8:8 + size])
-                except (EOFError, ValueError, TypeError):
-                    tag = payload = None
-                del buffer[:8 + size]
+            for tag, payload in split_replies(buffer):
                 if tag == "pid" and running is None:
                     running = payload
                 elif tag == "result" and running is not None:
@@ -476,8 +232,8 @@ class LocalExecutor:
             if tag == "python":
                 # Run under the same interpreter that is running us.
                 run_cmd = [sys.executable if arg == "python3" else arg for arg in run_cmd]
-            # The command the harness itself would be: it runs the code in a
-            # fork instead of starting an interpreter for it.
+            # The harness's own interpreter and flags, given code with -c: the
+            # harness runs that code in a fork instead of starting an interpreter.
             in_fork = len(run_cmd) > 4 and run_cmd[:4] == [sys.executable, "-I", "-S", "-c"]
             code, argv = (run_cmd[4], run_cmd[5:]) if in_fork else (None, run_cmd)
 
@@ -533,11 +289,9 @@ class LocalExecutor:
         that got one, in order, and how the harness ended, if it did; a
         harness that ended early leaves no process of the test it was
         running."""
-        job = marshal.dumps((
-            workdir, code, argv, [test.input.encode("utf-8") for test in tests],
-            time_limit_ms / 1000, memory_limit_mb * 1024 * 1024,
-            self.config.max_output_bytes + 1,
-        ))
+        job = job_frame(workdir, code, argv, [test.input.encode("utf-8") for test in tests],
+                        time_limit_ms / 1000, memory_limit_mb * 1024 * 1024,
+                        self.config.max_output_bytes + 1)
         timeout_s = len(tests) * time_limit_ms / 1000 + _HARNESS_SLACK_S
         harness = self._harness()
         try:
@@ -577,6 +331,7 @@ class LocalExecutor:
             return TestResult(index=index, status=Verdict.TIME_LIMIT_EXCEEDED)
 
         stdout = _clip(_decode(out), self.config.max_output_bytes)
+        prefix = stdout[:_ACTUAL_PREFIX_CHARS]
         stderr = _decode(err)
 
         if returncode != 0:
@@ -589,17 +344,12 @@ class LocalExecutor:
                 f"test {index}: runtime error (exit {returncode}); "
                 f"stderr: {_clip(stderr.strip(), 400)}"
             )
-            return TestResult(
-                index=index, status=Verdict.RUNTIME_ERROR,
-                actual_prefix=stdout[:_ACTUAL_PREFIX_CHARS],
-            )
+            return TestResult(index=index, status=Verdict.RUNTIME_ERROR, actual_prefix=prefix)
 
         if outputs_match(stdout, test.expected_output):
-            return TestResult(index=index, status=Verdict.PASSED,
-                              actual_prefix=stdout[:_ACTUAL_PREFIX_CHARS])
+            return TestResult(index=index, status=Verdict.PASSED, actual_prefix=prefix)
         log_lines.append(
             f"test {index}: expected {_clip(test.expected_output.strip(), 200)!r}, "
             f"got {_clip(stdout.strip(), 200)!r}, input {_clip(test.input.strip(), 200)!r}"
         )
-        return TestResult(index=index, status=Verdict.WRONG_ANSWER,
-                          actual_prefix=stdout[:_ACTUAL_PREFIX_CHARS])
+        return TestResult(index=index, status=Verdict.WRONG_ANSWER, actual_prefix=prefix)

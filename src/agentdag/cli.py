@@ -131,7 +131,7 @@ def _cmd_reward(args: argparse.Namespace) -> int:
     if not isinstance(data, dict):
         raise ValueError("malformed reward input: expected a JSON object")
     try:
-        gamma = float(data.get("gamma", 1.0))
+        gamma = jsonio.as_float(data.get("gamma", 1.0))
         weights = parse_weights(data.get("weights"))
         raw_turns = data["turns"]
         breakdowns = []
@@ -167,7 +167,7 @@ def _cmd_grpo_adv(args: argparse.Namespace) -> int:
     if not isinstance(returns, list):
         raise ValueError("--returns must be a JSON array of numbers")
     eps_std = EPS_STD if args.eps_std is None else args.eps_std
-    batch = GrpoBatch.from_returns([float(r) for r in returns], eps_std=eps_std)
+    batch = GrpoBatch.from_returns([jsonio.as_float(r) for r in returns], eps_std=eps_std)
     _print_json(batch.to_dict())
     return EXIT_OK
 
@@ -177,20 +177,23 @@ def _cmd_grpo_surrogate(args: argparse.Namespace) -> int:
 
     data = json.loads(_read_text(args.file))
     try:
-        advantages = [float(a) for a in data["advantages"]]
+        advantages = [jsonio.as_float(a) for a in data["advantages"]]
         batch = []
         for traj in data["trajectories"]:
             if not isinstance(traj, dict):
                 raise ValueError("malformed surrogate input: each trajectory must be an object")
             mask = traj.get("mask")
+            if mask is not None and not all(isinstance(m, bool) for m in mask):
+                raise ValueError("malformed surrogate input: mask entries must be true or false")
             batch.append(TrajectoryLogProbs(
-                new=tuple(float(x) for x in traj["new"]),
-                old=tuple(float(x) for x in traj["old"]),
-                ref=tuple(float(x) for x in traj["ref"]),
-                mask=None if mask is None else tuple(bool(m) for m in mask),
+                new=tuple(jsonio.as_float(x) for x in traj["new"]),
+                old=tuple(jsonio.as_float(x) for x in traj["old"]),
+                ref=tuple(jsonio.as_float(x) for x in traj["ref"]),
+                mask=None if mask is None else tuple(mask),
             ))
-        eps_clip = args.eps_clip if args.eps_clip is not None else float(data.get("eps_clip", 0.2))
-        beta = args.beta if args.beta is not None else float(data.get("beta", 0.0))
+        eps_clip = args.eps_clip if args.eps_clip is not None \
+            else jsonio.as_float(data.get("eps_clip", 0.2))
+        beta = args.beta if args.beta is not None else jsonio.as_float(data.get("beta", 0.0))
         kl_estimator = args.kl_estimator or data.get("kl_estimator", "log_ratio")
         kl_pooling = args.kl_pooling or data.get("kl_pooling", "batch")
     except (KeyError, TypeError) as exc:

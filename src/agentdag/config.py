@@ -10,6 +10,7 @@ from typing import Any, Mapping
 
 import yaml
 
+from .jsonio import as_float, as_int
 from .roles import DEFAULT_ROLE_POOL, ROLE_PROMPTS
 
 
@@ -151,13 +152,31 @@ def parse_weights(raw: Any) -> tuple[float, float]:
         unknown = set(raw) - {"execution", "graph"}
         if unknown:
             raise ValueError(f"unknown weights keys: {sorted(map(str, unknown))}")
-        return (float(raw.get("execution", 1.0)), float(raw.get("graph", 1.0)))
+        return (as_float(raw.get("execution", 1.0)), as_float(raw.get("graph", 1.0)))
     if isinstance(raw, (str, bytes)):
         raise ValueError("weights must be two numbers (execution, graph), not a string")
-    weights = tuple(float(w) for w in raw)
+    weights = tuple(as_float(w) for w in raw)
     if len(weights) != 2:
         raise ValueError("weights must be two numbers (execution, graph)")
     return weights
+
+
+_NUMBERS = {"max_turns": as_int, "gamma": as_float, "difficulty_fallback": as_int,
+            "observation_log_cap": as_int, "temperature": as_float, "max_tokens": as_int,
+            "timeout_s": as_float, "retries": as_int, "max_output_bytes": as_int, "workers": as_int}
+
+
+def _read_numbers(data: Mapping[str, Any], where: str) -> dict[str, Any]:
+    """``data`` with each numeric value read exactly, where ``int`` and ``float`` would take
+    ``true`` as 1 and ``2.5`` as 2; only ``difficulty_fallback`` may be null."""
+    read = dict(data)
+    for key, value in read.items():
+        if key in _NUMBERS and not (value is None and key == "difficulty_fallback"):
+            try:
+                read[key] = _NUMBERS[key](value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{where}{key}: {exc}") from exc
+    return read
 
 
 def _endpoint_from(data: Mapping[str, Any], where: str) -> AdapterEndpoint:
@@ -166,7 +185,7 @@ def _endpoint_from(data: Mapping[str, Any], where: str) -> AdapterEndpoint:
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"unknown keys under {where}: {sorted(unknown)}")
-    endpoint = AdapterEndpoint(**data)
+    endpoint = AdapterEndpoint(**_read_numbers(data, f"{where}."))
     if endpoint.kind not in ("scripted", "remote"):
         raise ConfigError(f"{where}.kind must be 'scripted' or 'remote'")
     if endpoint.kind == "remote" and not endpoint.url:
@@ -208,20 +227,17 @@ def _executor_from(data: Mapping[str, Any]) -> ExecutorConfig:
     unknown = set(data) - allowed
     if unknown:
         raise ConfigError(f"unknown keys under executor: {sorted(unknown)}")
-    kwargs = {k: v for k, v in data.items() if k != "languages"}
-    languages = _languages_from(data.get("languages", {}))
-    return ExecutorConfig(languages=languages, **kwargs)
+    kwargs = _read_numbers({k: v for k, v in data.items() if k != "languages"}, "executor.")
+    return ExecutorConfig(languages=_languages_from(data.get("languages", {})), **kwargs)
 
 
 def config_from_mapping(data: Mapping[str, Any]) -> RunConfig:
     """Build and validate a RunConfig from plain data (parsed YAML/JSON)."""
     data = dict(data)
     try:
-        kwargs: dict[str, Any] = {}
-        for key in ("max_turns", "gamma", "difficulty_fallback", "observation_log_cap",
-                    "policy_system_prompt"):
-            if key in data:
-                kwargs[key] = data.pop(key)
+        kwargs = _read_numbers({key: data.pop(key) for key in (
+            "max_turns", "gamma", "difficulty_fallback", "observation_log_cap",
+            "policy_system_prompt") if key in data}, "")
         if "weights" in data:
             kwargs["weights"] = parse_weights(data.pop("weights"))
         if "role_pool" in data:

@@ -186,25 +186,6 @@ def density_scores(dag: LayeredDag, difficulty: int) -> DensityReport:
     return density_from_counts(dag.v_count, dag.e_count, dag.s, difficulty)
 
 
-def longest_path(dag: LayeredDag) -> int:
-    """Longest path in node count over this turn's declared edges.
-
-    Dynamic programming in layer order; a lone node counts as a path of
-    length 1. Cross-turn and self edges are not part of this turn's graph.
-    """
-    dist = {node_id: 1 for node_id in dag.nodes}
-    preds: dict[str, list[str]] = {node_id: [] for node_id in dag.nodes}
-    for edge in dag.edges:
-        if edge.kind is EdgeKind.INTRA_TURN:
-            preds[edge.dst].append(edge.src)
-    for layer in dag.layers:
-        for node_id in layer:
-            for src in preds[node_id]:
-                if dist[src] + 1 > dist[node_id]:
-                    dist[node_id] = dist[src] + 1
-    return max(dist.values()) if dist else 0
-
-
 @dataclass(frozen=True)
 class CostEstimate:
     """Expected token cost of executing one turn, at m tokens per message."""

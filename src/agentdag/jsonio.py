@@ -31,6 +31,13 @@ def as_int(value: Any) -> int:
     return int(value)
 
 
+def as_float(value: Any) -> float:
+    """A real-number field of decoded JSON; ``true``, NaN and the infinities are refused."""
+    if isinstance(value, bool) or not math.isfinite(number := float(value)):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return number
+
+
 def dumps(data: Any, *, indent: int | None = None) -> str:
     """Serialize to JSON with 17-significant-digit floats.
 

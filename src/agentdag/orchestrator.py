@@ -423,10 +423,3 @@ class EpisodeRunner:
             turn=turn,
             problem_id=problem.id,
         )
-
-
-def run_episode(problem: ProblemSpec, policy: PolicyAdapter,
-                role_backends: RoleBackend | Mapping[str, RoleBackend],
-                sandbox: Sandbox, config: RunConfig | None = None) -> EpisodeResult:
-    """One-call form of :class:`EpisodeRunner` for a single problem."""
-    return EpisodeRunner(policy, role_backends, sandbox, config).run(problem)

@@ -68,6 +68,12 @@ def longest_path_exhaustive(node_ids, edges) -> int:
     return best
 
 
+def depth_exhaustive(dag) -> int:
+    """Longest path, in nodes, over a decoded turn's own (intra-turn) edges."""
+    edges = [(e.src, e.dst) for e in dag.edges if e.kind == "intra_turn"]
+    return longest_path_exhaustive(list(dag.nodes), edges)
+
+
 def advantages_oracle(returns, eps_std) -> list[mpf]:
     values = [mpf(repr(r)) for r in returns]
     n = len(values)

@@ -19,8 +19,8 @@ from mpmath import mpf
 from oracles import (
     advantages_oracle,
     density_oracle,
+    depth_exhaustive,
     graph_reward_oracle,
-    longest_path_exhaustive,
 )
 from conftest import CountingSandbox, make_doc, random_strict_dag_doc, random_topology
 
@@ -29,14 +29,12 @@ from agentdag.config import RunConfig
 from agentdag.corpus import CorpusRecord, filter_corpus
 from agentdag.dsl import ErrorClass, check_topology
 from agentdag.graph import (
-    EdgeKind,
     cost_estimate,
     decode_topology,
     density_scores,
-    longest_path,
     n_max_nodes,
 )
-from agentdag.orchestrator import run_episode
+from agentdag.orchestrator import EpisodeRunner
 from agentdag.problem import ProblemSpec, TestCase
 from agentdag.rewards import (
     EXEC_REWARDS,
@@ -128,20 +126,14 @@ def test_04_layer_adjacency_forces_full_depth():
     rng = random.Random(0xDA61)
 
     for i in range(500):
-        doc = random_strict_dag_doc(rng, in_edge_condition=True)
-        dag = decode_topology(doc, None)
-        edges = [(e.src, e.dst) for e in dag.edges if e.kind is EdgeKind.INTRA_TURN]
-        depth = longest_path_exhaustive(list(dag.nodes), edges)
-        assert longest_path(dag) == depth, f"case {i}: DP disagrees with enumeration"
+        dag = decode_topology(random_strict_dag_doc(rng, in_edge_condition=True), None)
+        depth = depth_exhaustive(dag)
         assert depth == dag.s, f"case {i}: adjacency held but depth {depth} != s {dag.s}"
 
     strict = 0
     for i in range(500):
-        doc = random_strict_dag_doc(rng, in_edge_condition=False)
-        dag = decode_topology(doc, None)
-        edges = [(e.src, e.dst) for e in dag.edges if e.kind is EdgeKind.INTRA_TURN]
-        depth = longest_path_exhaustive(list(dag.nodes), edges)
-        assert longest_path(dag) == depth
+        dag = decode_topology(random_strict_dag_doc(rng, in_edge_condition=False), None)
+        depth = depth_exhaustive(dag)
         assert depth <= dag.s, f"case {i}: depth {depth} exceeds layer count {dag.s}"
         strict += depth < dag.s
 
@@ -152,7 +144,7 @@ def test_04_layer_adjacency_forces_full_depth():
         [("b", "retrieval", [])],
         [("c", "coding", ["a", "b"])],
     ]), None)
-    assert witness.s == 3 and longest_path(witness) == 2
+    assert witness.s == 3 and depth_exhaustive(witness) == 2
     assert strict >= 1
     stamp(4, "layered-depth law", started, 10.0,
           f"500 adjacency-bound DAGs at full depth, 500 unconstrained <= s "
@@ -336,11 +328,11 @@ def test_07_scripted_episode_suite():
 
     # (a) a first-turn pass ends the episode immediately.
     sandbox = CountingSandbox()
-    result = run_episode(
-        ECHO, ScriptedPolicy([fenced(CHAIN)]),
+    result = EpisodeRunner(
+        ScriptedPolicy([fenced(CHAIN)]),
         ScriptedRoleBackend(solutions={"echo": ["print(input())"]}),
         sandbox, RunConfig(max_turns=3),
-    )
+    ).run(ECHO)
     assert result.status == "PASSED"
     assert len(result.trajectory.turns) == 1
     assert sandbox.runs == 1
@@ -348,11 +340,11 @@ def test_07_scripted_episode_suite():
     # (b) wrong-then-fixed: rewards decompose as execution + density components
     # that match the high-precision oracle, and the undiscounted return is
     # their sum.
-    result = run_episode(
-        ECHO, ScriptedPolicy([fenced(CHAIN), fenced(RETRY)]),
+    result = EpisodeRunner(
+        ScriptedPolicy([fenced(CHAIN), fenced(RETRY)]),
         ScriptedRoleBackend(solutions={"echo": ["print('wrong')", "print(input())"]}),
         LocalExecutor(), RunConfig(max_turns=2, gamma=1.0),
-    )
+    ).run(ECHO)
     turns = result.trajectory.turns
     assert [t.outcome.verdict for t in turns] == [Verdict.WRONG_ANSWER, Verdict.PASSED]
     want = [1.0 + float(graph_reward_oracle(2, 1, 2, 1)),
@@ -363,22 +355,22 @@ def test_07_scripted_episode_suite():
 
     # (c) two turns with no YAML at all: fixed penalties, sandbox untouched.
     sandbox = CountingSandbox()
-    result = run_episode(
-        ECHO, ScriptedPolicy(["working on it", "nearly there"]),
+    result = EpisodeRunner(
+        ScriptedPolicy(["working on it", "nearly there"]),
         ScriptedRoleBackend(), sandbox, RunConfig(max_turns=2),
-    )
+    ).run(ECHO)
     assert [t.reward.r_phi for t in result.trajectory.turns] == [-2.0, -2.0]
     assert sandbox.runs == 0 and result.sandbox_runs == 0
 
     # Determinism: five full reruns with randomized intra-layer delays must
     # serialize to identical bytes.
     def one_run() -> bytes:
-        outcome = run_episode(
-            ECHO, ScriptedPolicy([fenced(WIDE), fenced(WIDE)]),
+        outcome = EpisodeRunner(
+            ScriptedPolicy([fenced(WIDE), fenced(WIDE)]),
             ScriptedRoleBackend(solutions={"echo": ["print('wrong')", "print(input())"]},
                                 delay_range=(0.0, 0.02)),
             LocalExecutor(), RunConfig(max_turns=2),
-        )
+        ).run(ECHO)
         return jsonio.dumps(outcome.to_dict()).encode("utf-8")
 
     baseline = one_run()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import gc
+import io
 import itertools
 import json
 import os
@@ -621,6 +622,43 @@ class TestJudgeHarness:
         assert [t.status for t in outcome.per_test] == [Verdict.RUNTIME_ERROR] * 2
         assert "judge harness ended after 0 of 2 tests (timed out after 1 s)" in outcome.logs
         assert elapsed < 3
+
+
+class TestHarnessWireFormat:
+    """The frames between judge and harness, through the harness module's own
+    functions, imported in-process."""
+
+    REPLIES = [("pid", 4242), ("result", (0, b"7\n", b"", False)),
+               ("result", (None, b"", b"Traceback\n", True)), ("error", "why"), ("end", False)]
+
+    def test_replies_split_at_every_byte_boundary_come_back_whole(self):
+        from agentdag.adapters import _harness
+
+        stream = b"".join(_harness.frame(reply) for reply in self.REPLIES)
+        feeds = [[stream[:cut], stream[cut:]] for cut in range(len(stream) + 1)]
+        feeds.append([stream[i:i + 1] for i in range(len(stream))])
+        for feed in feeds:
+            buffer, replies = bytearray(), []
+            for chunk in feed:
+                buffer += chunk
+                replies.extend(_harness.split_replies(buffer))
+            assert replies == self.REPLIES and buffer == b""
+
+    def test_a_frame_that_does_not_decode_is_taken_off_as_none(self):
+        from agentdag.adapters import _harness
+
+        junk = b"\xff\xfe"
+        buffer = bytearray(len(junk).to_bytes(8, "little") + junk + _harness.frame(("end", True)))
+        assert list(_harness.split_replies(buffer)) == [(None, None), ("end", True)]
+
+    def test_jobs_are_read_back_in_field_order_until_end_of_file(self):
+        from agentdag.adapters import _harness
+
+        job = ("workdir", "print(1)", ["a"], [b"1\n", b""], 0.5, 1 << 28, 65537)
+        jobs = io.BytesIO(_harness.job_frame(*job) * 2 + _harness.job_frame(*job)[:-1])
+        assert _harness.read_job(jobs) == job
+        assert _harness.read_job(jobs) == job
+        assert not _harness.read_job(jobs)  # a torn frame reads as end of file
 
 
 def process_state(pid: int) -> str | None:

@@ -259,6 +259,15 @@ class TestReward:
         assert code == 2 and out == ""
         assert "expected an integer" in err
 
+    @pytest.mark.parametrize("extra", [{"gamma": True}, {"weights": [True, 1]},
+                                       {"weights": {"execution": False}}],
+                             ids=["gamma", "weights", "named-weights"])
+    def test_a_boolean_number_is_a_usage_error(self, tmp_path, capsys, extra):
+        spec = {"turns": [{"error": "NO_YAML_FOUND"}], **extra}
+        code, out, err = run_cli(capsys, "reward", write(tmp_path, "r.json", json.dumps(spec)))
+        assert code == 2 and out == ""
+        assert "expected a finite number" in err
+
     def test_non_object_input_is_a_usage_error(self, tmp_path, capsys):
         path = write(tmp_path, "r.json", "[1]")
         code, _, err = run_cli(capsys, "reward", path)
@@ -292,6 +301,11 @@ class TestGrpo:
         code, _, err = run_cli(capsys, "grpo", "adv", "--returns", '"oops"')
         assert code == 2 and "JSON array" in err
 
+    def test_boolean_returns_are_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "grpo", "adv", "--returns", "[true, false]")
+        assert code == 2 and out == ""
+        assert "expected a finite number" in err
+
     def test_surrogate_identity_case(self, tmp_path, capsys):
         logp = [-0.5, -1.0, -0.25]
         spec = {
@@ -321,6 +335,33 @@ class TestGrpo:
         assert payload["eps_clip"] == pytest.approx(0.3)
         assert payload["beta"] == pytest.approx(0.5)  # file value survives
         assert payload["kl_pooling"] == "trajectory"
+
+    @pytest.mark.parametrize("field", ["advantages", "new", "old", "ref", "eps_clip", "beta"])
+    def test_a_boolean_number_in_surrogate_input_is_a_usage_error(self, tmp_path, capsys,
+                                                                   field):
+        logp = [-0.5, -1.0]
+        spec = {"advantages": [1.0], "trajectories": [{"new": logp, "old": logp, "ref": logp}]}
+        if field == "advantages":
+            spec["advantages"] = [True]
+        elif field in ("eps_clip", "beta"):
+            spec[field] = True
+        else:
+            spec["trajectories"][0][field] = [True, -1.0]
+        code, out, err = run_cli(capsys, "grpo", "surrogate",
+                                 write(tmp_path, "s.json", json.dumps(spec)))
+        assert code == 2 and out == ""
+        assert "expected a finite number" in err
+
+    @pytest.mark.parametrize("mask,code", [([True, False], 0), ([True, "false"], 2),
+                                           ([1, 0], 2)])
+    def test_mask_entries_must_be_json_booleans(self, tmp_path, capsys, mask, code):
+        logp = [-0.5, -1.0]
+        spec = {"advantages": [1.0],
+                "trajectories": [{"new": logp, "old": logp, "ref": logp, "mask": mask}]}
+        got, _, err = run_cli(capsys, "grpo", "surrogate",
+                              write(tmp_path, "s.json", json.dumps(spec)))
+        assert got == code
+        assert code == 0 or "mask entries must be true or false" in err
 
     def test_non_object_trajectory_is_a_usage_error(self, tmp_path, capsys):
         path = write(tmp_path, "s.json", json.dumps({"advantages": [1.0], "trajectories": [1]}))
@@ -435,7 +476,9 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--config", run_fixture["config"])
         assert code == 2 and "no problems" in err
 
-    @pytest.mark.parametrize("line", ["weights: [1, 2, 3]", "weights: [1, -1]", "eps_clip: 0.2"])
+    @pytest.mark.parametrize("line", ["weights: [1, 2, 3]", "weights: [1, -1]", "eps_clip: 0.2",
+                                      "executor: {max_output_bytes: 100.5}", "max_turns: 2.9",
+                                      "observation_log_cap: 2.5"])
     def test_rejected_config_is_a_usage_error(self, run_fixture, capsys, line):
         config = write(run_fixture["tmp"], "bad.yaml", line + "\n")
         code, out, err = run_cli(capsys, "run", "--problem", run_fixture["problem1"],

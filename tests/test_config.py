@@ -100,6 +100,18 @@ class TestMappingParsing:
         ({"executor": {"languages": {"lua": {"run_cmd": ["lua"], "timeout": 3}}}},
          "unknown keys under language 'lua'"),
         ({"executor": {"languages": [{"run_cmd": ["lua"]}]}}, "languages must be a mapping"),
+        ({"max_turns": 2.9}, "max_turns: expected an integer"),
+        ({"gamma": True}, "gamma: expected a finite number"),
+        ({"difficulty_fallback": True}, "difficulty_fallback: expected an integer"),
+        ({"observation_log_cap": 2.5}, "observation_log_cap: expected an integer"),
+        ({"weights": [True, 1]}, "expected a finite number"),
+        ({"policy": {"temperature": True}}, "policy.temperature: expected a finite number"),
+        ({"policy": {"max_tokens": 1.5}}, "policy.max_tokens: expected an integer"),
+        ({"roles": {"timeout_s": True}}, "roles.timeout_s: expected a finite number"),
+        ({"policy": {"retries": 1.5}}, "policy.retries: expected an integer"),
+        ({"executor": {"max_output_bytes": 100.5}}, "executor.max_output_bytes: expected an integer"),
+        ({"executor": {"workers": 1.5}}, "executor.workers: expected an integer"),
+        ({"policy": {"max_tokens": None, "temperature": 0.5}}, "policy.max_tokens"),
     ])
     def test_rejections(self, data, needle):
         with pytest.raises(ConfigError, match=needle):

