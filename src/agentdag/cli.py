@@ -222,6 +222,22 @@ def _load_bundle(path: str) -> dict:
     return data
 
 
+def _delay_range(value: Any, path: str) -> tuple[float, float]:
+    """A bundle's ``delay_range``: two durations in seconds, ``0 <= low <= high``."""
+    try:
+        if not isinstance(value, list) or len(value) != 2:
+            raise ValueError(f"expected [low, high], got {value!r}")
+        for end in value:
+            if not isinstance(end, (int, float)):
+                raise ValueError(f"expected a number, got {end!r}")
+        low, high = jsonio.as_float(value[0]), jsonio.as_float(value[1])
+        if not 0 <= low <= high:
+            raise ValueError(f"expected 0 <= low <= high, got [{low!r}, {high!r}]")
+    except ValueError as exc:
+        raise ConfigError(f"scripted bundle {path}: delay_range: {exc}") from exc
+    return low, high
+
+
 def _build_adapters(spec: str | None, config: RunConfig
                     ) -> tuple[PolicyAdapter, RoleBackend]:
     """``spec`` is ``scripted:BUNDLE.json``, ``remote``, or None (use the config)."""
@@ -238,14 +254,15 @@ def _build_adapters(spec: str | None, config: RunConfig
     if spec.startswith("scripted:"):
         from .adapters.scripted import ScriptedPolicy, ScriptedRoleBackend
 
-        bundle = _load_bundle(spec.split(":", 1)[1])
+        path = spec.split(":", 1)[1]
+        bundle = _load_bundle(path)
         policy = ScriptedPolicy(bundle["policy"])
         delay = bundle.get("delay_range")
         roles = ScriptedRoleBackend(
             solutions=bundle.get("solutions"),
             language=bundle.get("language", "python"),
             message_overrides=bundle.get("role_messages"),
-            delay_range=None if delay is None else (float(delay[0]), float(delay[1])),
+            delay_range=None if delay is None else _delay_range(delay, path),
         )
         return policy, roles
     raise ConfigError(
@@ -259,6 +276,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .adapters.sandbox import LocalExecutor
     from .orchestrator import EpisodeRunner
 
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     config = load_config(args.config)
     problems: list[ProblemSpec] = [load_problem(p) for p in args.problem or []]
     if args.problems:
@@ -270,7 +289,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     sandbox = LocalExecutor(config.executor)
     runner = EpisodeRunner(policy, roles, sandbox, config)
 
-    if args.workers and args.workers > 1:
+    if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(runner.run, problems))
     else:

@@ -32,8 +32,13 @@ def as_int(value: Any) -> int:
 
 
 def as_float(value: Any) -> float:
-    """A real-number field of decoded JSON; ``true``, NaN and the infinities are refused."""
-    if isinstance(value, bool) or not math.isfinite(number := float(value)):
+    """A real-number field of decoded JSON; ``true``, NaN, the infinities and
+    integers too large for a float are refused."""
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if isinstance(value, bool) or not math.isfinite(number):
         raise ValueError(f"expected a finite number, got {value!r}")
     return number
 

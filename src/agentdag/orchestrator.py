@@ -6,10 +6,23 @@ DAG and executed layer by layer (agents within a layer run concurrently, but
 results are always merged in document order, so trajectories are byte-stable
 under any scheduling). The final code block is judged in the sandbox, the turn
 is scored, and a PASSED verdict stops the episode early.
+
+Every multi-agent layer in the process runs on one shared agent pool, built at
+the first such layer and never at import. The pool has no ceiling that binds:
+a thread starts only when none is idle, so every agent call in flight has its
+own thread, however many episodes run at once, and the pool keeps as many
+threads as were ever busy together. Each call runs in a copy of its episode's
+``contextvars`` context, as under ``asyncio.to_thread``. The pool belongs to
+the process that built it: a forked child builds its own, because the parent's
+threads do not exist there.
 """
 
 from __future__ import annotations
 
+import contextvars
+import os
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -36,6 +49,25 @@ from .verdicts import ExecOutcome, TestResult, Verdict
 _LANGUAGE_ALIASES = {"py": "python", "python3": "python"}
 _TRUNCATION_MARKER = "\n[... truncated at {cap} characters]"
 NO_CODE_LOG = "no fenced code block found in the agent messages"
+
+_pool_lock = threading.Lock()
+_pool_owned: tuple[int, ThreadPoolExecutor | None] = (0, None)  # (owner pid, pool)
+
+
+def _agent_pool() -> ThreadPoolExecutor:
+    """The process's agent pool, built at first use in each process. It is
+    built through the module name ``ThreadPoolExecutor``, which tests replace."""
+    global _pool_owned
+    pid, pool = _pool_owned
+    if pid == os.getpid():
+        return pool
+    with _pool_lock:
+        pid, pool = _pool_owned
+        if pid != os.getpid():
+            pool = ThreadPoolExecutor(max_workers=sys.maxsize,
+                                      thread_name_prefix="agentdag-agent")
+            _pool_owned = (os.getpid(), pool)
+        return pool
 
 
 @dataclass(frozen=True)
@@ -367,19 +399,17 @@ class EpisodeRunner:
 
     def _run_layer(self, dag: LayeredDag, layer: Sequence[str],
                    requests: Mapping[str, AgentRequest]) -> dict[str, AgentResponse]:
+        backends = [self._backend_for(dag.nodes[agent_id].role) for agent_id in layer]
         if len(layer) == 1:
-            agent_id = layer[0]
-            backend = self._backend_for(dag.nodes[agent_id].role)
-            return {agent_id: backend.respond(requests[agent_id])}
-        with ThreadPoolExecutor(max_workers=len(layer)) as pool:
-            futures = {
-                agent_id: pool.submit(
-                    self._backend_for(dag.nodes[agent_id].role).respond,
-                    requests[agent_id],
-                )
-                for agent_id in layer
-            }
-            return {agent_id: future.result() for agent_id, future in futures.items()}
+            return {layer[0]: backends[0].respond(requests[layer[0]])}
+        pool = _agent_pool()
+        futures = [pool.submit(contextvars.copy_context().run, backend.respond, requests[agent_id])
+                   for agent_id, backend in zip(layer, backends)]
+        # Every call ends before any result is read, and the first failure in
+        # document order is the one raised.
+        for future in futures:
+            future.exception()
+        return {agent_id: future.result() for agent_id, future in zip(layer, futures)}
 
     def _build_request(self, problem: ProblemSpec, dag: LayeredDag, agent_id: str,
                        memories: Mapping[str, Sequence[AgentMessage]],

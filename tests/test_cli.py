@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -503,6 +504,31 @@ class TestRun:
                                "--config", run_fixture["config"],
                                "--policy", f"scripted:{bad}")
         assert code == 2 and "'policy' key" in err
+
+    @pytest.mark.parametrize("delay, reason", [
+        ([True, False], "expected a finite number, got True"),
+        ([-1, -0.5], "expected 0 <= low <= high, got [-1.0, -0.5]"),
+        (["0.1", "0.2"], "expected a number, got '0.1'"),
+        ([0, 10 ** 400], f"expected a finite number, got {10 ** 400}"),
+    ])
+    def test_a_bad_delay_range_is_refused_before_any_episode(self, run_fixture, capsys,
+                                                             delay, reason):
+        bundle = dict(json.loads(Path(run_fixture["bundle"]).read_text()), delay_range=delay)
+        bad = write(run_fixture["tmp"], "bad_delay.json", json.dumps(bundle))
+        code, out, err = run_cli(capsys, "run", "--problem", run_fixture["problem1"],
+                                 "--config", run_fixture["config"],
+                                 "--policy", f"scripted:{bad}")
+        assert code == 2 and out == ""
+        assert err == f"error: scripted bundle {bad}: delay_range: {reason}\n"
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_fewer_than_one_worker_is_a_usage_error(self, run_fixture, capsys, workers):
+        code, out, err = run_cli(capsys, "run", "--problem", run_fixture["problem1"],
+                                 "--config", run_fixture["config"],
+                                 "--policy", f"scripted:{run_fixture['bundle']}",
+                                 "--workers", workers)
+        assert code == 2 and out == ""
+        assert err == f"error: --workers must be at least 1, got {workers}\n"
 
     def test_remote_policy_needs_urls(self, run_fixture, capsys):
         code, _, err = run_cli(capsys, "run", "--problem", run_fixture["problem1"],

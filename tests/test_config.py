@@ -112,6 +112,7 @@ class TestMappingParsing:
         ({"executor": {"max_output_bytes": 100.5}}, "executor.max_output_bytes: expected an integer"),
         ({"executor": {"workers": 1.5}}, "executor.workers: expected an integer"),
         ({"policy": {"max_tokens": None, "temperature": 0.5}}, "policy.max_tokens"),
+        ({"gamma": 10 ** 400}, "gamma: expected a finite number"),
     ])
     def test_rejections(self, data, needle):
         with pytest.raises(ConfigError, match=needle):

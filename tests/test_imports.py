@@ -221,6 +221,12 @@ def test_from_import_still_reaches_submodules():
     assert "agentdag.adapters.sandbox" in modules
 
 
+def test_importing_the_orchestrator_starts_no_thread():
+    result, _ = modules_loaded_by("import threading\nfrom agentdag import orchestrator\n"
+                                  "result = threading.active_count(), orchestrator._pool_owned")
+    assert result == (1, (0, None))
+
+
 # What `validate` and `corpus filter` must start without: the episode engine,
 # the judge, the remote transport and the modules they bring in.
 NOT_FOR_VALIDATE_OR_CORPUS = {

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
 import json
+import os
+import signal
+import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -14,6 +20,7 @@ from oracles import graph_reward_oracle
 from agentdag import orchestrator
 from agentdag.adapters import (
     AdapterError,
+    AgentResponse,
     LocalExecutor,
     ScriptedPolicy,
     ScriptedRoleBackend,
@@ -570,3 +577,174 @@ class TestRunnerConcurrencySafety:
         first_layer = {r.agent_id: r for r in spy.requests if r.agent_id in ("alpha", "beta")}
         for request in first_layer.values():
             assert [p.source for p in request.messages] == ["problem"]
+
+
+TEN_WIDE = "difficulty: 3\nsteps:\n  - agents:\n" + "".join(
+    f"      - id: a{i}\n        role: coding\n        ref: []\n" for i in range(10))
+
+
+class PassingJudge:
+    """An in-memory sandbox that passes every candidate."""
+
+    def execute(self, source, language, tests, **limits):
+        return ExecOutcome(Verdict.PASSED,
+                           tuple(TestResult(i, Verdict.PASSED) for i in range(len(tests))), "")
+
+
+class InFlight:
+    """Counts the calls of ``inner`` in flight, and their peak."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.now = self.peak = 0
+        self._lock = threading.Lock()
+
+    def respond(self, request):
+        with self._lock:
+            self.now += 1
+            self.peak = max(self.peak, self.now)
+        try:
+            return self.inner.respond(request)
+        finally:
+            with self._lock:
+                self.now -= 1
+
+
+def ten_wide_runner(roles) -> EpisodeRunner:
+    return EpisodeRunner(ScriptedPolicy([fenced(TEN_WIDE)]), roles, PassingJudge(),
+                         RunConfig(max_turns=1))
+
+
+class TestAgentPool:
+    DELAY = 0.25
+
+    def delayed_roles(self) -> InFlight:
+        return InFlight(ScriptedRoleBackend(solutions={"*": [ECHO_SOLUTION]},
+                                            delay_range=(self.DELAY, self.DELAY)))
+
+    def test_a_ten_agent_layer_runs_all_at_once(self):
+        roles = self.delayed_roles()
+        t0 = time.perf_counter()
+        result = ten_wide_runner(roles).run(ECHO)
+        elapsed = time.perf_counter() - t0
+        assert result.status == "PASSED"
+        assert roles.peak == 10
+        assert elapsed < 4 * self.DELAY  # one after another would take 10
+
+    @pytest.mark.parametrize("workers", [4, 12])
+    def test_concurrent_episodes_overlap_their_layers(self, workers):
+        roles = self.delayed_roles()
+        problems = [dataclasses.replace(ECHO, id=f"echo{k}") for k in range(workers)]
+        policy = ScriptedPolicy({p.id: [fenced(TEN_WIDE)] for p in problems})
+        runner = EpisodeRunner(policy, roles, PassingJudge(), RunConfig(max_turns=1))
+        t0 = time.perf_counter()
+        with ThreadPoolExecutor(max_workers=workers) as episodes:  # as `run --workers N`
+            results = list(episodes.map(runner.run, problems))
+        elapsed = time.perf_counter() - t0
+        assert [r.status for r in results] == ["PASSED"] * workers
+        assert roles.peak == 10 * workers  # no call waits for a thread
+        assert elapsed < 4 * self.DELAY  # one episode after another would take `workers`
+
+    # WIDE's first layer is alpha then beta. One call sleeps before it answers
+    # or fails; the first failure in document order is the episode's error.
+    @pytest.mark.parametrize("slow, failing, error", [
+        ("alpha", {"beta"}, "beta failed"),
+        ("alpha", {"alpha", "beta"}, "alpha failed"),
+        ("beta", {"alpha"}, "alpha failed"),
+    ])
+    def test_a_failed_layer_waits_for_every_call(self, slow, failing, error):
+        class Backend:
+            def __init__(self):
+                self.finished = []
+
+            def respond(self, request):
+                if request.agent_id == slow:
+                    time.sleep(0.2)
+                self.finished.append(request.agent_id)
+                if request.agent_id in failing:
+                    raise AdapterError(f"{request.agent_id} failed")
+                return AgentResponse(content="done")
+
+        backend = Backend()
+        result = EpisodeRunner(ScriptedPolicy([fenced(WIDE)]), backend, PassingJudge(),
+                               RunConfig(max_turns=1)).run(ECHO)
+        assert result.status == "ERROR"
+        assert result.error == f"AdapterError: {error}"
+        assert sorted(backend.finished) == ["alpha", "beta"]  # no call outlives the episode
+
+    def test_a_missing_backend_fails_the_layer_before_any_call(self):
+        spy = SpyBackend(ScriptedRoleBackend())
+        result = EpisodeRunner(ScriptedPolicy([fenced(WIDE)]), {"retrieval": spy},
+                               PassingJudge(), RunConfig(max_turns=1)).run(ECHO)
+        assert result.status == "ERROR"
+        assert result.error == "AdapterError: no backend configured for role 'planning'"
+        assert spy.requests == []
+
+    def test_the_thread_count_stays_flat(self):
+        roles = ScriptedRoleBackend(solutions={"*": [ECHO_SOLUTION]})
+        for _ in range(5):
+            assert ten_wide_runner(roles).run(ECHO).status == "PASSED"
+        after_five = threading.active_count()
+        for _ in range(45):
+            assert ten_wide_runner(roles).run(ECHO).status == "PASSED"
+        assert threading.active_count() <= after_five
+
+    def test_each_call_runs_in_its_episodes_context(self):
+        episode = contextvars.ContextVar("episode")
+        seen = []
+
+        class ContextSpy:
+            def respond(self, request):
+                seen.append(episode.get(None))
+                return AgentResponse(content="ok")
+
+        for tag in ("first", "second"):
+            token = episode.set(tag)
+            try:
+                ten_wide_runner(ContextSpy()).run(ECHO)
+            finally:
+                episode.reset(token)
+        assert seen == ["first"] * 10 + ["second"] * 10
+
+    def test_concurrent_first_layers_build_one_pool(self, monkeypatch):
+        built = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                time.sleep(0.01)  # a slow build holds the race window open
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(orchestrator, "_pool_owned", (0, None))
+        monkeypatch.setattr(orchestrator, "ThreadPoolExecutor", Recording)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as callers:
+                pools = list(callers.map(lambda _: orchestrator._agent_pool(), range(64)))
+        finally:
+            sys.setswitchinterval(interval)
+            for pool in built:
+                pool.shutdown()
+        assert len(built) == 1
+        assert all(pool is built[0] for pool in pools)
+
+    def test_a_forked_child_builds_its_own_pool(self):
+        roles = ScriptedRoleBackend(solutions={"*": [ECHO_SOLUTION]})
+        assert ten_wide_runner(roles).run(ECHO).status == "PASSED"
+        assert orchestrator._pool_owned[0] == os.getpid()
+        pid = os.fork()
+        if pid == 0:  # the child: run one episode on the inherited module state
+            code = 1
+            try:
+                code = 0 if ten_wide_runner(roles).run(ECHO).status == "PASSED" else 3
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 10
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if status[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's episode hung")
+        assert os.waitstatus_to_exitcode(status[1]) == 0
