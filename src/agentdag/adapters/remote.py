@@ -14,6 +14,7 @@ import urllib.error
 import urllib.request
 
 from ..config import AdapterEndpoint
+from ..jsonio import as_int
 from ..problem import ProblemSpec
 from .base import AdapterError, AgentRequest, AgentResponse, TokenUsage
 
@@ -71,19 +72,25 @@ class _ChatClient:
 
     @staticmethod
     def _parse(body: str) -> AgentResponse:
+        """The reply's text and token counts; an absent or null usage counts zero."""
         try:
             data = json.loads(body)
             content = data["choices"][0]["message"]["content"]
-            usage = data.get("usage", {})
-            return AgentResponse(
-                content=str(content),
-                usage=TokenUsage(
-                    prompt_tokens=int(usage.get("prompt_tokens", 0)),
-                    completion_tokens=int(usage.get("completion_tokens", 0)),
-                ),
-            )
+            if not isinstance(content, str):
+                raise TypeError(f"content is {type(content).__name__}, not a string")
+            usage = data.get("usage")
+            if usage is None:
+                usage = {}
+            if not isinstance(usage, dict):
+                raise TypeError(f"usage is {type(usage).__name__}, not an object")
+            prompt, completion = (as_int(usage.get(key, 0))
+                                  for key in ("prompt_tokens", "completion_tokens"))
+            if prompt < 0 or completion < 0:
+                raise ValueError(f"negative token count in {usage}")
         except (json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError) as exc:
             raise AdapterError(f"malformed completion response: {exc}") from exc
+        return AgentResponse(content=content, usage=TokenUsage(prompt_tokens=prompt,
+                                                               completion_tokens=completion))
 
 
 class RemotePolicy(_ChatClient):

@@ -165,11 +165,10 @@ def _require_str(value, what: str, step: int | None, agent: str | None) -> str:
 
 
 # PyYAML's pure SafeLoader and SafeDumper define what a text means and how a
-# document is written. libyaml, when PyYAML was built with it, is several
-# times faster but disagrees with them on some inputs, so it is used only
-# where a differential fuzz found none.
+# document is written. The libyaml loader, when PyYAML was built with it, is
+# several times faster but disagrees with the pure one on some inputs, so it
+# is used only where a differential fuzz found none.
 _C_LOADER = getattr(yaml, "CSafeLoader", None)
-_C_DUMPER = getattr(yaml, "CSafeDumper", None)
 
 # The libyaml loader words its errors differently (so a text it rejects is
 # read again by the pure loader), and it accepts tabs and other characters
@@ -420,15 +419,43 @@ def canonicalize(doc: TopologyDoc) -> bytes:
     return (json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n").encode("utf-8")
 
 
+# A string that SafeDumper writes unquoted and that the SafeLoader reads back
+# as that string: an identifier-like word that is none of the 21 words the
+# YAML 1.1 resolver reads as a boolean or null.
+_PLAIN_SCALAR = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
+_RESOLVED_WORDS = frozenset(
+    case(word) for word in ("yes", "no", "true", "false", "on", "off", "null")
+    for case in (str.lower, str.title, str.upper))
+
+
+def _plain(text) -> bool:
+    return (type(text) is str and _PLAIN_SCALAR.fullmatch(text) is not None
+            and text not in _RESOLVED_WORDS)
+
+
 def to_yaml(doc: TopologyDoc) -> str:
-    """Serialize a document back to YAML that re-parses to an equal document."""
-    mapping = doc_to_mapping(doc)
-    # libyaml folds long quoted scalars that hold a newline or a character
-    # outside printable ASCII differently; it writes all others as the pure
-    # dumper does.
-    if _C_DUMPER is not None and all(
-            text.isascii() and text.isprintable()
-            for step in doc.steps for agent in step.agents
-            for text in (agent.id, agent.role, *agent.refs)):
-        return yaml.dump(mapping, Dumper=_C_DUMPER, sort_keys=False, default_flow_style=False)
-    return yaml.safe_dump(mapping, sort_keys=False, default_flow_style=False)
+    """Serialize a document back to YAML that re-parses to an equal document.
+
+    The bytes are those of ``yaml.safe_dump(doc_to_mapping(doc),
+    sort_keys=False, default_flow_style=False)``. A document whose numbers are
+    ints and whose strings are all plain scalars is written here directly;
+    any other goes through the dumper.
+    """
+    if not (type(doc.difficulty) is int and doc.steps and all(
+            type(step.index) is int and step.agents and all(
+                _plain(agent.id) and _plain(agent.role) and all(map(_plain, agent.refs))
+                for agent in step.agents)
+            for step in doc.steps)):
+        return yaml.safe_dump(doc_to_mapping(doc), sort_keys=False, default_flow_style=False)
+    lines = [f"difficulty: {doc.difficulty}", "steps:"]
+    for step in doc.steps:
+        lines += (f"- step: {step.index}", "  agents:")
+        for agent in step.agents:
+            lines += (f"  - id: {agent.id}", f"    role: {agent.role}")
+            if agent.refs:
+                lines.append("    ref:")
+                lines += [f"    - {ref}" for ref in agent.refs]
+            else:
+                lines.append("    ref: []")
+    lines.append("")
+    return "\n".join(lines)

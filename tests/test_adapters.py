@@ -934,6 +934,10 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
+# A completion body with the given JSON content and usage.
+REPLY = b'{"choices": [{"message": {"content": %s}}], "usage": %s}'
+
+
 def _serve(server_class):
     server = server_class(("127.0.0.1", 0), _StubHandler)
     server.requests = []
@@ -1034,12 +1038,24 @@ class TestRemoteAdapters:
         assert "STUB_KEY" in os.environ
 
     @pytest.mark.parametrize("raw", [b"not json at all", b'{"no": "choices"}',
-                                     b'{"choices": []}'])
+                                     b'{"choices": []}',
+                                     REPLY % (b'"x"', b'7'), REPLY % (b'"x"', b'[]'),
+                                     REPLY % (b'"x"', b'{"prompt_tokens": true}'),
+                                     REPLY % (b'"x"', b'{"completion_tokens": 2.7}'),
+                                     REPLY % (b'"x"', b'{"prompt_tokens": -1}'),
+                                     REPLY % (b'"x"', b'{"completion_tokens": null}'),
+                                     REPLY % (b'null', b'{}'), REPLY % (b'5', b'{}')])
     def test_malformed_response_is_adapter_error(self, stub_server, raw):
         stub_server.raw_body = raw
         policy = RemotePolicy(endpoint_for(stub_server))
         with pytest.raises(AdapterError, match="malformed completion response"):
             policy.generate(ECHO_PROBLEM, "p")
+
+    def test_a_null_usage_counts_zero(self, stub_server):
+        stub_server.raw_body = REPLY % (b'"x"', b"null")
+        response = RemotePolicy(endpoint_for(stub_server)).generate(ECHO_PROBLEM, "p")
+        assert response.content == "x"
+        assert (response.usage.prompt_tokens, response.usage.completion_tokens) == (0, 0)
 
     def test_missing_url_rejected(self):
         with pytest.raises(AdapterError):

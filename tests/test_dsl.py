@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -13,8 +15,11 @@ from hypothesis import strategies as st
 
 from agentdag import dsl
 from agentdag.dsl import (
+    AgentSpec,
     CheckResult,
     ErrorClass,
+    Step,
+    TopologyDoc,
     TopologyError,
     canonicalize,
     check_topology,
@@ -26,6 +31,7 @@ from agentdag.dsl import (
     to_yaml,
     validate_logic,
 )
+from agentdag.roles import DEFAULT_ROLE_POOL
 from conftest import make_doc, random_topology
 
 VALID_YAML = """\
@@ -471,15 +477,121 @@ def pure_yaml(doc) -> str:
     return yaml.safe_dump(doc_to_mapping(doc), sort_keys=False, default_flow_style=False)
 
 
-@pytest.mark.skipif(not yaml.__with_libyaml__,
-                    reason="PyYAML is built without libyaml, so only the pure loader and dumper run")
-class TestLibyamlAgreesWithThePureCodec:
-    """libyaml is taken only where it gives what the pure classes give."""
+@pytest.fixture(scope="module")
+def rendered():
+    rng = random.Random(0x5AFE)
+    return [(doc, pure_yaml(doc)) for doc in (awkward_topology(rng) for _ in range(500))]
 
-    @pytest.fixture(scope="class")
-    def rendered(self):
-        rng = random.Random(0x5AFE)
-        return [(doc, pure_yaml(doc)) for doc in (awkward_topology(rng) for _ in range(500))]
+
+def test_to_yaml_equals_the_pure_dumper(rendered):
+    for doc, text in rendered:
+        assert to_yaml(doc) == text
+
+
+# Scalars on both sides of the line between what to_yaml writes plain itself
+# and what it leaves to the dumper: every word the YAML 1.1 resolver reads as a
+# boolean or null, other texts it reads as no string, near misses of them, a
+# leading digit, "_", "." or "-", dots and dashes inside, lengths past the
+# dumper's 80-column width and its 128-character simple-key limit, characters
+# outside ASCII, spaces, colons and quotes.
+RESOLVER_WORDS = tuple(case(word)
+                       for word in ("yes", "no", "true", "false", "on", "off", "null")
+                       for case in (str.lower, str.title, str.upper))
+TYPED_TEXTS = (".inf", "-.Inf", ".NaN", "...", "---", "<<", "=", "~", "0x1f", "1_000", "1:30",
+               "2001-12-14", "1e3")
+NEAR_MISSES = ("yess", "nO", "tRUE", "Nul", "nulls", "y", "n", "Y", "N", "_", "on_",
+               "off.x", "True-1", "NaN", "inf", "e3", "x1e3", "t1_a0", "coding")
+PLAIN_HEADS, PLAIN_BODY = "aZ_", "az09_.-"
+QUOTED_HEADS, QUOTED_BODY = "09.-~!&*#'\" :\u00e9", " :'\"#\t\n\u00e9\u65e5"
+
+
+def boundary_scalar(rng: random.Random, awkward: float) -> str:
+    """An id, role or ref; with probability ``awkward`` one that may need quotes."""
+    if rng.random() < 0.1:
+        return rng.choice(NEAR_MISSES)
+    if rng.random() >= awkward:
+        heads, body = PLAIN_HEADS, PLAIN_BODY
+    elif rng.random() < 0.3:
+        return rng.choice(RESOLVER_WORDS + TYPED_TEXTS)
+    else:
+        heads, body = rng.choice(((QUOTED_HEADS, PLAIN_BODY), (PLAIN_HEADS, PLAIN_BODY + " "),
+                                  (PLAIN_HEADS, PLAIN_BODY + QUOTED_BODY)))
+    length = rng.choice((rng.randint(1, 12), rng.randint(81, 127), rng.randint(129, 200)))
+    return rng.choice(heads) + "".join(rng.choice(body) for _ in range(length - 1))
+
+
+def boundary_topology(rng: random.Random) -> TopologyDoc:
+    """A document to_yaml must write, valid or not; now and then a bool where
+    an int belongs, or an empty step list or agent list."""
+    awkward = rng.choice((0.0, 0.02, 0.1, 0.5))
+    steps = []
+    for index in range(1, rng.randint(0 if rng.random() < 0.05 else 1, 4) + 1):
+        agents = tuple(
+            AgentSpec(id=boundary_scalar(rng, awkward), role=boundary_scalar(rng, awkward),
+                      refs=tuple(boundary_scalar(rng, awkward)
+                                 for _ in range(rng.randint(0, 3))))
+            for _ in range(rng.randint(0 if rng.random() < 0.05 else 1, 3)))
+        steps.append(Step(index=True if index == 1 and rng.random() < 0.03 else index,
+                          agents=agents))
+    difficulty = rng.choice((1, 2, 3) * 4 + (0, -7, 10**20, True, False))
+    return TopologyDoc(difficulty=difficulty, steps=tuple(steps))
+
+
+def test_to_yaml_equals_the_dumpers_at_the_plain_quoted_boundary(monkeypatch):
+    rng = random.Random(0xB0DA)
+    docs = [make_doc([[("a", "planning", [])], [(word, "coding", ["a"])]])
+            for word in RESOLVER_WORDS]
+    docs += [boundary_topology(rng) for _ in range(500)]
+    expected = [pure_yaml(doc) for doc in docs]
+    dumped = []
+    safe_dump = yaml.safe_dump
+    monkeypatch.setattr(yaml, "safe_dump",
+                        lambda *args, **kwargs: dumped.append(1) or safe_dump(*args, **kwargs))
+    direct = []
+    for doc, text in zip(docs, expected):
+        before = len(dumped)
+        assert to_yaml(doc) == text, doc
+        if len(dumped) == before:
+            direct.append((doc, text))
+    assert len(direct) >= 150 and len(docs) - len(direct) >= 150
+    if yaml.__with_libyaml__:
+        for doc, text in direct:
+            assert yaml.dump(doc_to_mapping(doc), Dumper=yaml.CSafeDumper, sort_keys=False,
+                             default_flow_style=False) == text, doc
+
+
+GOLDEN_BUNDLE = Path(__file__).parent / "golden" / "bundle.json"
+
+
+def test_plain_documents_are_written_without_the_dumper(monkeypatch):
+    docs = []
+    for texts in json.loads(GOLDEN_BUNDLE.read_text(encoding="utf-8"))["policy"].values():
+        for text in texts:
+            try:
+                docs.append(parse_topology(extract_yaml_block(text), fallback_difficulty=1))
+            except TopologyError:
+                pass
+    # Ten agents in four layers, named as the bench's generated episodes are.
+    ids = [f"t2_a{i}" for i in range(10)]
+    roles = dict(zip(ids, itertools.cycle(DEFAULT_ROLE_POOL)))
+    layers = [ids[0:3], ids[3:6], ids[6:8], ids[8:10]]
+    docs.append(make_doc([[(aid, roles[aid], refs) for aid in layer]
+                          for layer, refs in zip(layers, [[]] + layers)], difficulty=3))
+    expected = [pure_yaml(doc) for doc in docs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("to_yaml called the YAML dumper")
+
+    monkeypatch.setattr(yaml, "dump", refuse)
+    monkeypatch.setattr(yaml, "safe_dump", refuse)
+    assert len(docs) >= 7
+    assert [to_yaml(doc) for doc in docs] == expected
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__,
+                    reason="PyYAML is built without libyaml, so only the pure loader runs")
+class TestLibyamlAgreesWithThePureCodec:
+    """The libyaml loader is taken only where it reads what the pure loader reads."""
 
     @pytest.fixture(scope="class")
     def mutated(self, rendered):
@@ -517,10 +629,6 @@ class TestLibyamlAgreesWithThePureCodec:
         result = check_yaml(text)
         monkeypatch.setattr(dsl, "_C_LOADER", None)
         assert check_yaml(text) == result
-
-    def test_to_yaml_equals_the_pure_dumper(self, rendered):
-        for doc, text in rendered:
-            assert to_yaml(doc) == text
 
 
 def test_parse_error_messages_are_single_line():

@@ -21,6 +21,12 @@ import yaml
 
 import agentdag
 import agentdag.adapters
+from agentdag import cli
+from agentdag.adapters import ScriptedPolicy, ScriptedRoleBackend
+from agentdag.config import RunConfig
+from agentdag.orchestrator import EpisodeRunner
+from agentdag.problem import ProblemSpec, TestCase
+from agentdag.verdicts import ExecOutcome, TestResult, Verdict
 
 PACKAGE_ROOT = Path(agentdag.__file__).parent
 
@@ -259,6 +265,64 @@ def test_a_command_loads_only_what_it_uses(command, tmp_path):
     assert code == 0
     assert "agentdag.dsl" in modules  # the command really ran
     assert modules & NOT_FOR_VALIDATE_OR_CORPUS == set()
+
+
+# The names perfbench's traced runs (``perfbench/run.py --trace 1`` and
+# ``perfbench/cli_traced.py``) replace on these modules to time a layer. A
+# replacement times anything only while the module's own code calls the name
+# through its module global, so each must stay one.
+TRACED_NAMES = {
+    "orchestrator": ("to_yaml", "check_topology", "decode_topology", "density_scores",
+                     "turn_reward", "trajectory_return", "render_history_prompt",
+                     "build_observation", "extract_code"),
+    "dsl": ("parse_topology", "validate_logic"),
+    "cli": ("read_corpus", "filter_corpus", "write_corpus"),
+    "corpus": ("parse_topology", "validate_logic", "canonicalize", "decode_topology",
+               "density_scores", "read_jsonl"),
+    "jsonio": ("dumps",),
+}
+
+
+def recording(calls: set, key: str, fn):
+    def wrapper(*args, **kwargs):
+        calls.add(key)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+class WrongAnswers:
+    """A judge that finds every candidate wrong, so each turn is rendered back."""
+
+    def execute(self, source, language, tests, *, time_limit_ms, memory_limit_mb):
+        return ExecOutcome(verdict=Verdict.WRONG_ANSWER, logs="test 0: wrong",
+                           per_test=(TestResult(index=0, status=Verdict.WRONG_ANSWER),))
+
+
+def test_every_name_a_traced_run_replaces_is_called_through_its_module(monkeypatch, tmp_path,
+                                                                        capsys):
+    calls: set[str] = set()
+    for module_name, names in TRACED_NAMES.items():
+        module = importlib.import_module(f"agentdag.{module_name}")
+        for name in names:
+            monkeypatch.setattr(module, name, recording(calls, f"{module_name}.{name}",
+                                                        getattr(module, name)))
+    topology = VALID_TOPOLOGY + ("  - agents:\n      - id: coder\n        role: coding\n"
+                                 "        ref: [planner]\n")
+    policy = ScriptedPolicy([f"```yaml\n{topology}```"] * 2)
+    problem = ProblemSpec(id="p", description="print 1",
+                          tests=(TestCase(input="", expected_output="1\n"),),
+                          time_limit_ms=1000, memory_limit_mb=64)
+    result = EpisodeRunner(policy, ScriptedRoleBackend(solutions={"*": ["print(2)"]}),
+                           WrongAnswers(), RunConfig(max_turns=2)).run(problem)
+    assert [turn.outcome.verdict for turn in result.trajectory.turns] \
+        == [Verdict.WRONG_ANSWER] * 2
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps(
+        {"id": "r1", "problem_id": "p", "yaml_text": VALID_TOPOLOGY}) + "\n", encoding="utf-8")
+    assert cli.main(["corpus", "filter", str(corpus), str(tmp_path / "out.jsonl")]) == 0
+    capsys.readouterr()
+    assert calls == {f"{module}.{name}" for module, names in TRACED_NAMES.items()
+                     for name in names}
 
 
 # Modules on the episode hot path import everything at module level, so no
