@@ -490,15 +490,15 @@ def test_to_yaml_equals_the_pure_dumper(rendered):
 
 # Scalars on both sides of the line between what to_yaml writes plain itself
 # and what it leaves to the dumper: every word the YAML 1.1 resolver reads as a
-# boolean or null, other texts it reads as no string, near misses of them, a
-# leading digit, "_", "." or "-", dots and dashes inside, lengths past the
-# dumper's 80-column width and its 128-character simple-key limit, characters
-# outside ASCII, spaces, colons and quotes.
+# boolean or null, other texts it reads as no string or as a document marker,
+# near misses of them, a leading digit, "_", "." or "-", dots and dashes
+# inside, lengths past the dumper's 80-column width and its 128-character
+# simple-key limit, characters outside ASCII, spaces, colons and quotes.
 RESOLVER_WORDS = tuple(case(word)
                        for word in ("yes", "no", "true", "false", "on", "off", "null")
                        for case in (str.lower, str.title, str.upper))
 TYPED_TEXTS = (".inf", "-.Inf", ".NaN", "...", "---", "<<", "=", "~", "0x1f", "1_000", "1:30",
-               "2001-12-14", "1e3")
+               "2001-12-14", "1.5e+3")
 NEAR_MISSES = ("yess", "nO", "tRUE", "Nul", "nulls", "y", "n", "Y", "N", "_", "on_",
                "off.x", "True-1", "NaN", "inf", "e3", "x1e3", "t1_a0", "coding")
 PLAIN_HEADS, PLAIN_BODY = "aZ_", "az09_.-"
