@@ -12,11 +12,20 @@ import http.client
 import json
 import urllib.error
 import urllib.request
+from random import Random
+from time import sleep
 
 from ..config import AdapterEndpoint
 from ..jsonio import as_int
 from ..problem import ProblemSpec
 from .base import AdapterError, AgentRequest, AgentResponse, TokenUsage
+
+# The wait before retry k (k = 0 for the second attempt) is a uniform draw in
+# [0, min(_BACKOFF_CAP_S, _BACKOFF_BASE_S * 2**k)]: exponential backoff with
+# full jitter, so clients that failed together do not retry together.
+_BACKOFF_BASE_S = 0.25
+_BACKOFF_CAP_S = 4.0
+_JITTER = Random()
 
 
 class _ChatClient:
@@ -42,7 +51,11 @@ class _ChatClient:
 
         attempts = self._endpoint.retries + 1
         last_error: Exception | None = None
-        for _ in range(attempts):
+        backoff_s = _BACKOFF_BASE_S
+        for attempt in range(attempts):
+            if attempt:
+                sleep(_JITTER.uniform(0, backoff_s))
+                backoff_s = min(_BACKOFF_CAP_S, 2 * backoff_s)
             try:
                 status, body = self._post(data, headers)
             except (OSError, http.client.HTTPException) as exc:  # transport, timeouts

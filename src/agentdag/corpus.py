@@ -37,6 +37,13 @@ _ERROR_CLASS_REASONS = {
 }
 
 
+def _as_str(value, field: str) -> str:
+    """A string field of decoded JSON; ``str`` would read ``null`` as "None"."""
+    if not isinstance(value, str):
+        raise TypeError(f"{field!r} must be a string, not {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class CorpusRecord:
     """One harvested topology: raw YAML plus where it came from."""
@@ -52,12 +59,13 @@ class CorpusRecord:
     def from_dict(cls, data: Mapping) -> "CorpusRecord":
         try:
             return cls(
-                id=str(data["id"]),
-                problem_id=str(data["problem_id"]),
+                id=_as_str(data["id"], "id"),
+                problem_id=_as_str(data["problem_id"], "problem_id"),
                 difficulty=None if data.get("difficulty") is None else as_int(data["difficulty"]),
                 turn_index=as_int(data.get("turn_index", 1)),
-                yaml_text=str(data["yaml_text"]),
-                prior_id=None if data.get("prior_id") is None else str(data["prior_id"]),
+                yaml_text=_as_str(data["yaml_text"], "yaml_text"),
+                prior_id=None if data.get("prior_id") is None
+                else _as_str(data["prior_id"], "prior_id"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed corpus record: {exc}") from exc

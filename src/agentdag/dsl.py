@@ -193,11 +193,94 @@ def _libyaml_reads(text: str) -> bool:
             and sum(map(text.count, _NESTING_INDICATORS)) <= _C_MAX_INDICATORS)
 
 
+_NUMBER = re.compile(r"0|[1-9][0-9]*")  # "01" and "+1" are YAML 1.1 octal and signed
+
+
+def _read_plain(text: str):
+    """The data the SafeLoader reads from a topology in plain block form, or
+    None for any other text; it never raises.
+
+    The form, one item per line with no blank lines, comments, quotes, tabs or
+    trailing spaces: an optional ``difficulty: N``, then ``steps:`` at column
+    0; steps all at one column c, each ``- step: N`` over ``agents:`` at c+2,
+    or ``- agents:``; agents all at one column a >= c+2, each ``- id: X``,
+    ``role: Y`` and ``ref:`` at a+2, where ``ref`` is ``[]``, ``[x, y]``, or
+    bare over ``- x`` lines all at one column r >= a+2. Every id, role and ref
+    is a plain scalar, and no step or agent list is empty.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        del lines[-1]
+    data = {}
+    if lines and lines[0].startswith("difficulty: "):
+        number = lines.pop(0)[12:]
+        if not _NUMBER.fullmatch(number):
+            return None
+        data["difficulty"] = int(number)
+    if lines[:1] != ["steps:"]:
+        return None
+    # (column, text after the indent) per line, then two rows at column -1 that
+    # end the text, so an agent's three lines can be looked at together.
+    rows = [(len(line) - len(body), body) for line in lines[1:] for body in [line.lstrip(" ")]]
+    rows += [(-1, "")] * 2
+    steps = data["steps"] = []
+    step_col, agent_col, ref_col = rows[0][0], None, None
+    at = 0
+    while step_col >= 0 and rows[at][0] == step_col:
+        body = rows[at][1]
+        if body == "- agents:":
+            step = {}
+        elif body.startswith("- step: ") and _NUMBER.fullmatch(body[8:]):
+            step = {"step": int(body[8:])}
+            at += 1
+            if rows[at] != (step_col + 2, "agents:"):
+                return None
+        else:
+            return None
+        at += 1
+        agents = step["agents"] = []
+        agent_col = rows[at][0] if agent_col is None else agent_col
+        if agent_col < step_col + 2:
+            return None
+        while rows[at][0] == agent_col:
+            head, role, ref = (body for _, body in rows[at:at + 3])
+            if not (head.startswith("- id: ") and role.startswith("role: ")
+                    and rows[at + 1][0] == rows[at + 2][0] == agent_col + 2
+                    and _plain(head[6:]) and _plain(role[6:])):
+                return None
+            at += 3
+            if ref == "ref:":
+                ref_col = rows[at][0] if ref_col is None else ref_col
+                if ref_col < agent_col + 2 or rows[at][0] != ref_col:
+                    return None
+                refs = []
+                while rows[at][0] == ref_col:
+                    item = rows[at][1]
+                    if not (item.startswith("- ") and _plain(item[2:])):
+                        return None
+                    refs.append(item[2:])
+                    at += 1
+            elif ref.startswith("ref: [") and ref.endswith("]"):
+                refs = ref[6:-1].split(", ") if ref != "ref: []" else []
+                if not all(map(_plain, refs)):
+                    return None
+            else:
+                return None
+            agents.append({"id": head[6:], "role": role[6:], "ref": refs})
+        if not agents:
+            return None
+        steps.append(step)
+    return data if steps and rows[at][0] < 0 else None
+
+
 def _load(yaml_text: str):
     """The data of a YAML text as the pure SafeLoader reads it.
 
     Raises YAML_PARSE_ERROR with the first line of the pure loader's message.
     """
+    data = _read_plain(yaml_text)
+    if data is not None:
+        return data
     if _C_LOADER is not None and _libyaml_reads(yaml_text):
         try:
             return yaml.load(yaml_text, Loader=_C_LOADER)
@@ -421,7 +504,8 @@ def canonicalize(doc: TopologyDoc) -> bytes:
 
 # A string that SafeDumper writes unquoted and that the SafeLoader reads back
 # as that string: an identifier-like word that is none of the 21 words the
-# YAML 1.1 resolver reads as a boolean or null.
+# YAML 1.1 resolver reads as a boolean or null. It is the only kind of string
+# that to_yaml writes itself and that _read_plain reads.
 _PLAIN_SCALAR = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
 _RESOLVED_WORDS = frozenset(
     case(word) for word in ("yes", "no", "true", "false", "on", "off", "null")

@@ -21,24 +21,29 @@ def format_float(value: float) -> str:
     return format(value, ".17g")
 
 
-def as_int(value: Any) -> int:
-    """An integer field of decoded JSON.
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-    ``int`` alone would read ``true`` as 1 and ``2.7`` as 2; both are refused.
+
+def as_int(value: Any) -> int:
+    """An integer field of decoded JSON: an integer, or a float with no fraction.
+
+    ``int`` alone would read ``true`` as 1, ``2.7`` as 2 and ``"12"`` as 12;
+    all three are refused.
     """
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
 
 
 def as_float(value: Any) -> float:
-    """A real-number field of decoded JSON; ``true``, NaN, the infinities and
-    integers too large for a float are refused."""
+    """A real-number field of decoded JSON; ``true``, strings, NaN, the
+    infinities and integers too large for a float are refused."""
     try:
-        number = float(value)
+        number = float(value) if _is_number(value) else math.nan
     except OverflowError:
         number = math.inf
-    if isinstance(value, bool) or not math.isfinite(number):
+    if not math.isfinite(number):
         raise ValueError(f"expected a finite number, got {value!r}")
     return number
 

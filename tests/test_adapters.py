@@ -8,6 +8,7 @@ import io
 import itertools
 import json
 import os
+import random
 import re
 import shutil
 import socket
@@ -35,6 +36,7 @@ from agentdag.adapters import (
     ScriptedPolicy,
     ScriptedRoleBackend,
     estimate_tokens,
+    remote,
 )
 from agentdag.config import AdapterEndpoint, ExecutorConfig, config_from_mapping
 from agentdag.problem import ProblemSpec, TestCase
@@ -975,7 +977,58 @@ def endpoint_for(server: HTTPServer, **kwargs) -> AdapterEndpoint:
                            model="test-model", retries=kwargs.pop("retries", 1), **kwargs)
 
 
+class TopOfEveryDraw:
+    """A jitter source that returns the top of each range it is asked for."""
+
+    def __init__(self):
+        self.ranges = []
+
+    def uniform(self, low, high):
+        self.ranges.append((low, high))
+        return high
+
+
+def test_the_remote_client_sleeps_for_real_between_retries():
+    assert remote.sleep is time.sleep
+
+
 class TestRemoteAdapters:
+    @pytest.fixture(autouse=True)
+    def waits(self, monkeypatch):
+        """The backoff waits the client asks for; none is slept, so a retry
+        test takes no longer than it did before retries waited."""
+        waits = []
+        monkeypatch.setattr(remote, "sleep", waits.append)
+        return waits
+
+    def test_the_backoff_bound_doubles_up_to_its_cap(self, stub_server, waits, monkeypatch):
+        jitter = TopOfEveryDraw()
+        monkeypatch.setattr(remote, "_JITTER", jitter)
+        stub_server.plan = [500, 429, 502, 503, 500, 500, 500]
+        with pytest.raises(AdapterError, match="after 7 attempts"):
+            RemotePolicy(endpoint_for(stub_server, retries=6)).generate(ECHO_PROBLEM, "p")
+        bounds = [0.25, 0.5, 1.0, 2.0, 4.0, 4.0]  # and no wait after the last attempt
+        assert jitter.ranges == [(0, bound) for bound in bounds]
+        assert waits == bounds
+        assert len(stub_server.requests) == 7
+
+    def test_each_wait_is_a_uniform_draw_within_its_bound(self, stub_server, waits,
+                                                          monkeypatch):
+        monkeypatch.setattr(remote, "_JITTER", random.Random(11))
+        stub_server.plan = [503] * 8
+        response = RemotePolicy(endpoint_for(stub_server, retries=8)).generate(ECHO_PROBLEM, "p")
+        assert response.content == "stub reply"
+        assert len(waits) == 8 and len(set(waits)) == 8
+        for wait, bound in zip(waits, (0.25, 0.5, 1, 2, 4, 4, 4, 4)):
+            assert 0 <= wait <= bound
+
+    def test_no_wait_without_a_retry(self, stub_server, waits):
+        RemotePolicy(endpoint_for(stub_server, retries=3)).generate(ECHO_PROBLEM, "p")
+        stub_server.plan = [400]
+        with pytest.raises(AdapterError, match="rejected"):
+            RemotePolicy(endpoint_for(stub_server, retries=3)).generate(ECHO_PROBLEM, "p")
+        assert waits == []
+
     def test_policy_round_trip(self, stub_server):
         policy = RemotePolicy(endpoint_for(stub_server), system="be terse")
         response = policy.generate(ECHO_PROBLEM, "HISTORY PROMPT HERE")
@@ -1044,6 +1097,8 @@ class TestRemoteAdapters:
                                      REPLY % (b'"x"', b'{"completion_tokens": 2.7}'),
                                      REPLY % (b'"x"', b'{"prompt_tokens": -1}'),
                                      REPLY % (b'"x"', b'{"completion_tokens": null}'),
+                                     REPLY % (b'"x"', b'{"prompt_tokens": "12"}'),
+                                     REPLY % (b'"x"', b'{"completion_tokens": " 7 "}'),
                                      REPLY % (b'null', b'{}'), REPLY % (b'5', b'{}')])
     def test_malformed_response_is_adapter_error(self, stub_server, raw):
         stub_server.raw_body = raw

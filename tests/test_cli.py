@@ -479,7 +479,7 @@ class TestRun:
 
     @pytest.mark.parametrize("line", ["weights: [1, 2, 3]", "weights: [1, -1]", "eps_clip: 0.2",
                                       "executor: {max_output_bytes: 100.5}", "max_turns: 2.9",
-                                      "observation_log_cap: 2.5"])
+                                      "observation_log_cap: 2.5", "gamma: 1e-3"])
     def test_rejected_config_is_a_usage_error(self, run_fixture, capsys, line):
         config = write(run_fixture["tmp"], "bad.yaml", line + "\n")
         code, out, err = run_cli(capsys, "run", "--problem", run_fixture["problem1"],
@@ -619,6 +619,18 @@ class TestCorpusCli:
         path = write(tmp_path, "broken.jsonl", '{"id": "x"}\n')
         code, _, err = run_cli(capsys, "corpus", "stats", path)
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("line", [
+        '{"id": null, "problem_id": "p", "yaml_text": "steps: []"}',
+        '{"id": "x", "problem_id": 7, "yaml_text": "steps: []"}',
+        '{"id": "x", "problem_id": "p", "yaml_text": null}',
+        '{"id": "x", "problem_id": "p", "yaml_text": "steps: []", "prior_id": 3}',
+        '{"id": "x", "problem_id": "p", "yaml_text": "steps: []", "difficulty": "2"}',
+    ])
+    def test_a_record_field_of_the_wrong_type_is_a_usage_error(self, tmp_path, capsys, line):
+        path = write(tmp_path, "typed.jsonl", line + "\n")
+        code, out, err = run_cli(capsys, "corpus", "filter", path, str(tmp_path / "out.jsonl"))
+        assert code == 2 and out == "" and "error: malformed corpus record" in err
 
 
 class TestUsageSurface:

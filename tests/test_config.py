@@ -113,6 +113,12 @@ class TestMappingParsing:
         ({"executor": {"workers": 1.5}}, "executor.workers: expected an integer"),
         ({"policy": {"max_tokens": None, "temperature": 0.5}}, "policy.max_tokens"),
         ({"gamma": 10 ** 400}, "gamma: expected a finite number"),
+        ({"max_turns": "2"}, "max_turns: expected an integer"),
+        ({"gamma": "0.9"}, "gamma: expected a finite number"),
+        ({"gamma": "1e-3"}, "gamma: expected a finite number"),
+        ({"weights": ["1", 1]}, "expected a finite number"),
+        ({"policy": {"retries": " 7 "}}, "policy.retries: expected an integer"),
+        ({"executor": {"workers": "1_0"}}, "executor.workers: expected an integer"),
     ])
     def test_rejections(self, data, needle):
         with pytest.raises(ConfigError, match=needle):
@@ -193,6 +199,15 @@ class TestLoadConfig:
         path.write_text("max_turns: 4\ngamma: 0.5\n", encoding="utf-8")
         config = load_config(path)
         assert (config.max_turns, config.gamma) == (4, 0.5)
+
+    def test_an_exponent_without_a_point_is_a_string_and_refused(self, tmp_path):
+        # YAML 1.1 reads "1e-3" as a string; "1.0e-3" is a float.
+        path = tmp_path / "run.yaml"
+        path.write_text("gamma: 1e-3\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="gamma: expected a finite number, got '1e-3'"):
+            load_config(path)
+        path.write_text("gamma: 1.0e-3\n", encoding="utf-8")
+        assert load_config(path).gamma == 1e-3
 
     def test_json_is_a_yaml_subset(self, tmp_path):
         path = tmp_path / "run.json"

@@ -328,11 +328,43 @@ class TestRecordIo:
             CorpusRecord.from_dict({"problem_id": "p", "yaml_text": ""})
 
     @pytest.mark.parametrize("field", ["difficulty", "turn_index"])
-    @pytest.mark.parametrize("value", [True, 2.7, "2.7"])
+    @pytest.mark.parametrize("value", [True, 2.7, "2.7", "2", " 7 ", "1_0"])
     def test_an_inexact_integer_is_malformed(self, field, value):
         data = {"id": "x", "problem_id": "p", "yaml_text": "difficulty: 1", field: value}
         with pytest.raises(ValueError, match="malformed corpus record"):
             CorpusRecord.from_dict(data)
+
+    @pytest.mark.parametrize("value", [None, 7, 1.5, True, ["a"], {"a": 1}])
+    def test_an_id_that_is_no_string_is_malformed(self, value):
+        data = {"id": value, "problem_id": "p", "yaml_text": "difficulty: 1"}
+        with pytest.raises(ValueError, match="malformed corpus record: 'id' must be a string"):
+            CorpusRecord.from_dict(data)
+
+    @pytest.mark.parametrize("value", [None, 7, 1.5, True, ["p"]])
+    def test_a_problem_id_that_is_no_string_is_malformed(self, value):
+        data = {"id": "x", "problem_id": value, "yaml_text": "difficulty: 1"}
+        with pytest.raises(ValueError, match="'problem_id' must be a string"):
+            CorpusRecord.from_dict(data)
+
+    @pytest.mark.parametrize("value", [None, 7, True, {"steps": []}, ["steps:"]])
+    def test_a_yaml_text_that_is_no_string_is_malformed(self, value):
+        data = {"id": "x", "problem_id": "p", "yaml_text": value}
+        with pytest.raises(ValueError, match="'yaml_text' must be a string"):
+            CorpusRecord.from_dict(data)
+
+    @pytest.mark.parametrize("value", [3, 1.0, False, ["r1"]])
+    def test_a_prior_id_that_is_neither_string_nor_null_is_malformed(self, value):
+        data = {"id": "x", "problem_id": "p", "yaml_text": "difficulty: 1", "prior_id": value}
+        with pytest.raises(ValueError, match="'prior_id' must be a string"):
+            CorpusRecord.from_dict(data)
+
+    def test_string_fields_are_kept_as_written(self):
+        record = CorpusRecord.from_dict({"id": "7", "problem_id": "", "yaml_text": "",
+                                         "prior_id": "None"})
+        assert (record.id, record.problem_id, record.yaml_text, record.prior_id) == \
+            ("7", "", "", "None")
+        assert CorpusRecord.from_dict({"id": "x", "problem_id": "p", "yaml_text": "",
+                                       "prior_id": None}).prior_id is None
 
     @pytest.mark.parametrize("field", ["difficulty", "turn_index"])
     def test_an_integral_float_is_an_integer(self, field):

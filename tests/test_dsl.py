@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -563,20 +564,35 @@ def test_to_yaml_equals_the_dumpers_at_the_plain_quoted_boundary(monkeypatch):
 GOLDEN_BUNDLE = Path(__file__).parent / "golden" / "bundle.json"
 
 
-def test_plain_documents_are_written_without_the_dumper(monkeypatch):
-    docs = []
-    for texts in json.loads(GOLDEN_BUNDLE.read_text(encoding="utf-8"))["policy"].values():
-        for text in texts:
+def golden_yaml_texts() -> list[str]:
+    """The YAML block of every golden policy text that has one."""
+    texts = []
+    for replies in json.loads(GOLDEN_BUNDLE.read_text(encoding="utf-8"))["policy"].values():
+        for reply in replies:
             try:
-                docs.append(parse_topology(extract_yaml_block(text), fallback_difficulty=1))
+                texts.append(extract_yaml_block(reply))
             except TopologyError:
                 pass
-    # Ten agents in four layers, named as the bench's generated episodes are.
+    return texts
+
+
+def bench_doc() -> TopologyDoc:
+    """Ten agents in four layers, named as the bench's generated episodes are."""
     ids = [f"t2_a{i}" for i in range(10)]
     roles = dict(zip(ids, itertools.cycle(DEFAULT_ROLE_POOL)))
     layers = [ids[0:3], ids[3:6], ids[6:8], ids[8:10]]
-    docs.append(make_doc([[(aid, roles[aid], refs) for aid in layer]
-                          for layer, refs in zip(layers, [[]] + layers)], difficulty=3))
+    return make_doc([[(aid, roles[aid], refs) for aid in layer]
+                     for layer, refs in zip(layers, [[]] + layers)], difficulty=3)
+
+
+def test_plain_documents_are_written_without_the_dumper(monkeypatch):
+    docs = []
+    for text in golden_yaml_texts():
+        try:
+            docs.append(parse_topology(text, fallback_difficulty=1))
+        except TopologyError:
+            pass
+    docs.append(bench_doc())
     expected = [pure_yaml(doc) for doc in docs]
 
     def refuse(*args, **kwargs):
@@ -586,6 +602,160 @@ def test_plain_documents_are_written_without_the_dumper(monkeypatch):
     monkeypatch.setattr(yaml, "safe_dump", refuse)
     assert len(docs) >= 7
     assert [to_yaml(doc) for doc in docs] == expected
+
+
+def plain_text(doc: TopologyDoc, *, header: bool = True, step_lines: bool = True,
+               flow_refs: bool = True, indent: int = 2) -> str:
+    """``doc`` in the plain block form, each block sequence ``indent`` columns
+    right of its key (the bench's policy writes 2, ``to_yaml`` 0), with refs
+    as a flow list or as block items."""
+    step, agent = " " * indent, " " * (2 * indent + 2)
+    lines = [f"difficulty: {doc.difficulty}"] if header else []
+    lines.append("steps:")
+    for s in doc.steps:
+        lines += [f"{step}- step: {s.index}", f"{step}  agents:"] if step_lines \
+            else [f"{step}- agents:"]
+        for a in s.agents:
+            lines += [f"{agent}- id: {a.id}", f"{agent}  role: {a.role}"]
+            if flow_refs or not a.refs:
+                lines.append(f"{agent}  ref: [{', '.join(a.refs)}]")
+            else:
+                lines.append(f"{agent}  ref:")
+                lines += [f"{agent}  {' ' * indent}- {ref}" for ref in a.refs]
+    return "\n".join(lines) + "\n"
+
+
+def bench_topology(rng: random.Random) -> TopologyDoc:
+    """A random document with the bench's ids, which name the turn and may
+    refer to agents of the previous one."""
+    doc = random_topology(rng, max_layers=4, max_width=3, difficulty=rng.choice((1, 2, 3)))
+    turn = rng.randint(2, 6)
+    name = {aid: f"t{turn}_a{i}" for i, aid in enumerate(doc.agent_ids)}
+    return make_doc([[(name[a.id], a.role, [name[r] for r in a.refs]
+                       + ([f"t{turn - 1}_a0"] if rng.random() < 0.2 and i else []))
+                      for a in step.agents] for i, step in enumerate(doc.steps)],
+                    difficulty=doc.difficulty)
+
+
+def break_line(rng: random.Random, text: str) -> str:
+    """``text`` with one line changed the way a policy might get the plain
+    form wrong; some changes leave a text the loader still reads."""
+    lines = text.split("\n")[:-1]
+    at = rng.randrange(len(lines))
+    line = lines[at]
+    indent = line[:len(line) - len(line.lstrip(" "))]
+    kind = rng.randrange(12)
+    if kind == 0 and at + 1 < len(lines):  # keys out of order
+        lines[at], lines[at + 1] = lines[at + 1], line
+    elif kind == 1:  # an extra key
+        lines.insert(at, indent + rng.choice(("model: big", "budget: 3", "- id: extra")))
+    elif kind == 2:  # a comment
+        lines[at] += rng.choice((" # note", "  #", "#x"))
+    elif kind == 3:  # a trailing space, or a tab for a space
+        lines[at] = line + " " if rng.random() < 0.5 else line.replace(" ", "\t", 1)
+    elif kind == 4:
+        return "\r\n".join(lines) + "\r\n"
+    elif kind == 5:
+        lines.insert(at, rng.choice(("", indent)))
+    elif kind == 6:  # a number, resolver word or quoted scalar where a value was
+        value = rng.choice(("1", "0", "-1") + RESOLVER_WORDS
+                           + ("'x'", '"x"', "'yes'", "~", "x y", "a:b", "é"))
+        if ": " in line:
+            lines[at] = line[:line.index(": ") + 2] + (f"[{value}]" if line.endswith("]")
+                                                        else value)
+        else:
+            lines[at] = indent + "- " + value
+    elif kind == 7:  # no ref, or a bare ref without items
+        refs = [i for i, row in enumerate(lines) if row.lstrip().startswith("ref: [")]
+        if refs:
+            i = rng.choice(refs)
+            if rng.random() < 0.5:
+                del lines[i]
+            else:
+                lines[i] = lines[i][:lines[i].index("ref:") + 4]
+    elif kind == 8:  # an agent as a flow mapping
+        heads = [i for i, row in enumerate(lines) if row.lstrip().startswith("- id: ")]
+        if heads:
+            i = rng.choice(heads)
+            head = lines[i]
+            lines[i:i + 3] = [head.replace("- id: ", "- {id: ") + ", role: coding, ref: []}"]
+    elif kind == 9:  # a difficulty or step index written otherwise
+        number = rng.choice(("01", "010", "08", "+1", "-1", "1_0", "0x1", "1:30", "1.0", "1e3"))
+        return re.sub(r"(difficulty|step): [0-9]+", lambda m: f"{m[1]}: {number}", text,
+                      count=rng.randint(1, 2))
+    elif kind == 10:  # another ref list spacing
+        lines[at] = line.replace(", ", rng.choice((",", " ,", ",  ")))
+    else:  # another indent
+        lines[at] = rng.choice((" ", "  ", "   ")) + line if rng.random() < 0.7 else line[1:]
+    return "\n".join(lines) + "\n"
+
+
+def test_the_plain_reader_returns_what_the_safe_loader_reads():
+    rng = random.Random(0x4EAD)
+    seeds = [plain_text(bench_topology(rng), header=rng.random() < 0.8,
+                        step_lines=rng.random() < 0.5, flow_refs=rng.random() < 0.5,
+                        indent=rng.choice((0, 2, 2, 4))) for _ in range(120)]
+    seeds += [to_yaml(random_topology(rng)) for _ in range(60)]
+    assert all(dsl._read_plain(text) is not None for text in seeds)
+    texts = seeds + [mutate(rng, text) for text in seeds]
+    texts += [break_line(rng, text) for text in seeds for _ in range(2)]
+    read = 0
+    for text in texts:
+        data = dsl._read_plain(text)
+        if data is not None:
+            read += 1
+            assert repr(data) == repr(yaml.safe_load(text)), text
+    assert read >= 150 and len(texts) - read >= 150
+
+
+# Texts next to the plain form that the loader rejects or reads otherwise
+# ("010" is octal 8, "08" a string), and texts whose lists are empty or null.
+@pytest.mark.parametrize("text", [
+    "steps:\n- agents:\n - id: a\n   role: coding\n   ref: []\n",
+    "steps:\n- step: 1\n   agents:\n   - id: a\n     role: coding\n     ref: []\n",
+    "steps:\n- step: 1\n agents:\n - id: a\n   role: coding\n   ref: []\n",
+    "steps:\n- agents:\n  - id: a\n    role: coding\n    ref:\n   - b\n",
+    "difficulty: 010\nsteps:\n- agents:\n  - id: a\n    role: coding\n    ref: []\n",
+    "steps:\n- step: 08\n  agents:\n  - id: a\n    role: coding\n    ref: []\n",
+    "steps:\r\n- agents:\r\n  - id: a\r\n    role: coding\r\n    ref: []\r\n",
+    "steps:\n- agents:\n  - id: a\n    role: coding\n    ref:\n",
+    "steps:\n- agents:\n- agents:\n  - id: a\n    role: coding\n    ref: []\n",
+    "steps:\n- agents:\n  - id: a\n    role: coding\n    ref: []\n- agents:\n",
+    "difficulty: 1\nsteps:\n", "", "\n",
+])
+def test_the_plain_reader_declines_texts_just_outside_the_form(text):
+    assert dsl._read_plain(text) is None
+
+
+def test_to_yaml_writes_the_plain_form_without_flow_refs():
+    rng = random.Random(0x1D)
+    for doc in (random_topology(rng) for _ in range(50)):
+        assert to_yaml(doc) == plain_text(doc, flow_refs=False, indent=0)
+
+
+def well_formed(text: str) -> bool:
+    try:
+        yaml.safe_load(text)
+    except yaml.YAMLError:
+        return False
+    return True
+
+
+def test_plain_documents_are_read_without_the_loader(monkeypatch):
+    golden = [text for text in golden_yaml_texts() if well_formed(text)]
+    docs = [bench_doc(), *(bench_topology(random.Random(seed)) for seed in range(4))]
+    texts = golden + [plain_text(doc, flow_refs=flow) for doc in docs for flow in (True, False)]
+    texts += [to_yaml(doc) for doc in docs]
+    expected = [check_yaml(text, fallback_difficulty=1) for text in texts]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse_topology called the YAML loader")
+
+    monkeypatch.setattr(yaml, "load", refuse)
+    monkeypatch.setattr(yaml, "safe_load", refuse)
+    assert len(golden) == 8
+    assert [check_yaml(text, fallback_difficulty=1) for text in texts] == expected
+    assert sum(result.ok for result in expected) >= len(docs) * 3
 
 
 @pytest.mark.skipif(not yaml.__with_libyaml__,
@@ -614,6 +784,7 @@ class TestLibyamlAgreesWithThePureCodec:
     def test_check_yaml_equals_the_pure_loader_reference(self, mutated, monkeypatch):
         results = [check_yaml(text) for text in mutated]
         monkeypatch.setattr(dsl, "_C_LOADER", None)
+        monkeypatch.setattr(dsl, "_read_plain", lambda text: None)
         assert [check_yaml(text) for text in mutated] == results
 
     # Texts that libyaml reads otherwise than the pure loader: an empty node
@@ -628,6 +799,7 @@ class TestLibyamlAgreesWithThePureCodec:
                                                                           monkeypatch):
         result = check_yaml(text)
         monkeypatch.setattr(dsl, "_C_LOADER", None)
+        monkeypatch.setattr(dsl, "_read_plain", lambda text: None)
         assert check_yaml(text) == result
 
 

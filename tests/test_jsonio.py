@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from agentdag.jsonio import dumps, format_float, read_jsonl, write_jsonl
+from agentdag.jsonio import as_float, as_int, dumps, format_float, read_jsonl, write_jsonl
 
 
 # Every code point, with lone surrogates drawn often.
@@ -38,6 +38,28 @@ class TestFloatFormat:
     @given(st.floats(allow_nan=False, allow_infinity=False))
     def test_seventeen_digits_round_trip_exactly(self, value):
         assert float(format_float(value)) == value
+
+
+class TestExactNumbers:
+    @pytest.mark.parametrize("value,read", [(0, 0), (-7, -7), (2.0, 2), (10 ** 30, 10 ** 30)])
+    def test_as_int_reads_integers_and_integral_floats(self, value, read):
+        assert as_int(value) == read and type(as_int(value)) is int
+
+    @pytest.mark.parametrize("value", [True, False, 2.7, float("nan"), float("inf"), None,
+                                       "12", " 7 ", "1_0", "0x1", [1], {"a": 1}])
+    def test_as_int_refuses_everything_else(self, value):
+        with pytest.raises(ValueError, match="expected an integer"):
+            as_int(value)
+
+    @pytest.mark.parametrize("value,read", [(0, 0.0), (2, 2.0), (-2.5, -2.5), (1e-3, 1e-3)])
+    def test_as_float_reads_finite_numbers(self, value, read):
+        assert as_float(value) == read and type(as_float(value)) is float
+
+    @pytest.mark.parametrize("value", [True, False, float("nan"), float("inf"), 10 ** 400,
+                                       None, " 2.5 ", "1e-3", "nan", [1.0], {"a": 1.0}])
+    def test_as_float_refuses_everything_else(self, value):
+        with pytest.raises(ValueError, match="expected a finite number"):
+            as_float(value)
 
 
 class TestDumps:
