@@ -10,7 +10,6 @@ stable under refiltering.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -25,7 +24,7 @@ from .dsl import (
     validate_logic,
 )
 from .graph import DensityReport, LayeredDag, decode_topology, density_scores, n_max_nodes
-from .jsonio import as_int, read_jsonl, write_jsonl
+from .jsonio import as_int, as_str, read_jsonl, write_jsonl
 from .roles import DEFAULT_ROLE_POOL
 
 REASONS = ("syntax", "schema", "logic", "duplicate", "density_band")
@@ -35,13 +34,6 @@ _ERROR_CLASS_REASONS = {
     ErrorClass.YAML_SCHEMA_INVALID: "schema",
     ErrorClass.YAML_LOGIC_INVALID: "logic",
 }
-
-
-def _as_str(value, field: str) -> str:
-    """A string field of decoded JSON; ``str`` would read ``null`` as "None"."""
-    if not isinstance(value, str):
-        raise TypeError(f"{field!r} must be a string, not {type(value).__name__}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -59,13 +51,13 @@ class CorpusRecord:
     def from_dict(cls, data: Mapping) -> "CorpusRecord":
         try:
             return cls(
-                id=_as_str(data["id"], "id"),
-                problem_id=_as_str(data["problem_id"], "problem_id"),
+                id=as_str(data["id"], "id"),
+                problem_id=as_str(data["problem_id"], "problem_id"),
                 difficulty=None if data.get("difficulty") is None else as_int(data["difficulty"]),
                 turn_index=as_int(data.get("turn_index", 1)),
-                yaml_text=_as_str(data["yaml_text"], "yaml_text"),
+                yaml_text=as_str(data["yaml_text"], "yaml_text"),
                 prior_id=None if data.get("prior_id") is None
-                else _as_str(data["prior_id"], "prior_id"),
+                else as_str(data["prior_id"], "prior_id"),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed corpus record: {exc}") from exc
@@ -151,7 +143,7 @@ def _filter(records: Sequence[CorpusRecord],
     outcomes: list[RecordOutcome] = []
     accepted: list[_Accepted] = []
     accepted_by_id: dict[str, _Accepted] = {}
-    seen_hashes: set[bytes] = set()
+    seen_forms: set[bytes] = set()
 
     def reject(record: CorpusRecord, reason: str, detail: str) -> None:
         outcomes.append(RecordOutcome(record.id, accepted=False, reason=reason, detail=detail))
@@ -180,13 +172,13 @@ def _filter(records: Sequence[CorpusRecord],
             reject(record, "logic", exc.detail)
             continue
 
-        # Exact dedup on the canonical form; the first occurrence claims the
-        # hash even if a later stage rejects it.
-        digest = hashlib.sha256(canonicalize(doc)).digest()
-        if digest in seen_hashes:
+        # Exact dedup on the canonical form; the first occurrence claims it
+        # even if a later stage rejects it.
+        canonical = canonicalize(doc)
+        if canonical in seen_forms:
             reject(record, "duplicate", "canonical form already seen")
             continue
-        seen_hashes.add(digest)
+        seen_forms.add(canonical)
 
         # Difficulty-band density check.
         dag = decode_topology(doc, prev=prior.dag if prior is not None else None)

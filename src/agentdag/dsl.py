@@ -164,68 +164,51 @@ def _require_str(value, what: str, step: int | None, agent: str | None) -> str:
     return value
 
 
-# PyYAML's pure SafeLoader and SafeDumper define what a text means and how a
-# document is written. The libyaml loader, when PyYAML was built with it, is
-# several times faster but disagrees with the pure one on some inputs, so it
-# is used only where a differential fuzz found none.
-_C_LOADER = getattr(yaml, "CSafeLoader", None)
-
-# The libyaml loader words its errors differently (so a text it rejects is
-# read again by the pure loader), and it accepts tabs and other characters
-# outside printable ASCII that the pure loader rejects. It also reads some
-# texts otherwise: an empty node tagged "!" as "" rather than None, "|#" and
-# ">#" block-scalar headers, and "?" inside flow collections. A text that
-# this pattern matches is read by the pure loader alone.
-_OFF_LIBYAML = re.compile(r"[^\n -~]|[!|>?]")
-
-# libyaml's composer recurses on the C stack once per nesting level, and a
-# document deep enough to overflow it kills the process (at about 2,500
-# levels on a 1 MB thread stack). Each collection opens with at least one
-# indicator of its own ("?" never reaches libyaml), so their count bounds the
-# depth of a text.
-_NESTING_INDICATORS = "[{-:"
-_C_MAX_INDICATORS = 1000
-
-
-def _libyaml_reads(text: str) -> bool:
-    """True when the libyaml loader reads ``text`` as the pure one does."""
-    return (_OFF_LIBYAML.search(text) is None
-            and sum(map(text.count, _NESTING_INDICATORS)) <= _C_MAX_INDICATORS)
-
-
 _NUMBER = re.compile(r"0|[1-9][0-9]*")  # "01" and "+1" are YAML 1.1 octal and signed
+
+
+def _entry(line: str):
+    """``(key, value)`` for a ``key: value`` line of the plain form, else None.
+    The value is a number, a plain scalar, or a flow list ``[]`` or ``[x, y]``
+    of plain scalars."""
+    key, sep, text = line.partition(": ")
+    if not (sep and _plain(key)):
+        return None
+    if _NUMBER.fullmatch(text):
+        return key, int(text)
+    if _plain(text):
+        return key, text
+    items = text[1:-1].split(", ") if text != "[]" else []
+    if text[:1] + text[-1:] == "[]" and all(map(_plain, items)):
+        return key, items
+    return None
 
 
 def _read_plain(text: str):
     """The data the SafeLoader reads from a topology in plain block form, or
     None for any other text; it never raises.
 
-    The form, one item per line with no blank lines, comments, quotes, tabs or
-    trailing spaces: an optional ``difficulty: N``, then ``steps:`` at column
-    0; steps all at one column c, each ``- step: N`` over ``agents:`` at c+2,
-    or ``- agents:``; agents all at one column a >= c+2, each ``- id: X``,
-    ``role: Y`` and ``ref:`` at a+2, where ``ref`` is ``[]``, ``[x, y]``, or
-    bare over ``- x`` lines all at one column r >= a+2. Every id, role and ref
-    is a plain scalar, and no step or agent list is empty.
+    The form has one item per line and no blank lines, comments, quotes, tabs
+    or trailing spaces: ``key: value`` lines, then ``steps:`` at column 0;
+    steps at one column c, each ``- step: N`` over ``agents:`` at c+2, or
+    ``- agents:``; a step's agents at one column a >= c+2, each ``- key: value``
+    over more at a+2, or bare ``key:`` over ``- x`` lines at one column >= a+2.
+    A repeated key keeps its first place and its last value. No list is empty.
     """
-    lines = text.split("\n")
-    if lines[-1] == "":
-        del lines[-1]
-    data = {}
-    if lines and lines[0].startswith("difficulty: "):
-        number = lines.pop(0)[12:]
-        if not _NUMBER.fullmatch(number):
-            return None
-        data["difficulty"] = int(number)
-    if lines[:1] != ["steps:"]:
+    lines = text.removesuffix("\n").split("\n")
+    # Without a "steps:" line every line is a header line, and no step is read.
+    top = lines.index("steps:") if "steps:" in lines else len(lines)
+    header = list(map(_entry, lines[:top]))
+    if None in header:
         return None
-    # (column, text after the indent) per line, then two rows at column -1 that
-    # end the text, so an agent's three lines can be looked at together.
-    rows = [(len(line) - len(body), body) for line in lines[1:] for body in [line.lstrip(" ")]]
-    rows += [(-1, "")] * 2
+    data = dict(header)
+    # (column, text after the indent) per line, then a row at column -1 that
+    # ends the text.
+    rows = [(len(line) - len(body), body) for line in lines[top + 1:]
+            for body in [line.lstrip(" ")]]
+    rows.append((-1, ""))
     steps = data["steps"] = []
-    step_col, agent_col, ref_col = rows[0][0], None, None
-    at = 0
+    step_col, at = rows[0][0], 0
     while step_col >= 0 and rows[at][0] == step_col:
         body = rows[at][1]
         if body == "- agents:":
@@ -239,58 +222,72 @@ def _read_plain(text: str):
             return None
         at += 1
         agents = step["agents"] = []
-        agent_col = rows[at][0] if agent_col is None else agent_col
+        agent_col = rows[at][0]
         if agent_col < step_col + 2:
             return None
-        while rows[at][0] == agent_col:
-            head, role, ref = (body for _, body in rows[at:at + 3])
-            if not (head.startswith("- id: ") and role.startswith("role: ")
-                    and rows[at + 1][0] == rows[at + 2][0] == agent_col + 2
-                    and _plain(head[6:]) and _plain(role[6:])):
-                return None
-            at += 3
-            if ref == "ref:":
-                ref_col = rows[at][0] if ref_col is None else ref_col
-                if ref_col < agent_col + 2 or rows[at][0] != ref_col:
-                    return None
-                refs = []
-                while rows[at][0] == ref_col:
-                    item = rows[at][1]
-                    if not (item.startswith("- ") and _plain(item[2:])):
+        while rows[at][0] == agent_col and rows[at][1].startswith("- "):
+            # The item's first key is read with the rest, at their column.
+            rows[at] = (agent_col + 2, rows[at][1][2:])
+            agent = {}
+            while rows[at][0] == agent_col + 2:
+                body = rows[at][1]
+                at += 1
+                entry = _entry(body)
+                if body.endswith(":") and _plain(body[:-1]) and rows[at][0] >= agent_col + 2:
+                    # A bare key over block items.
+                    item_col, entry = rows[at][0], (body[:-1], [])
+                    while rows[at][0] == item_col and rows[at][1].startswith("- "):
+                        entry[1].append(rows[at][1][2:])
+                        at += 1
+                    if not (entry[1] and all(map(_plain, entry[1]))):
                         return None
-                    refs.append(item[2:])
-                    at += 1
-            elif ref.startswith("ref: [") and ref.endswith("]"):
-                refs = ref[6:-1].split(", ") if ref != "ref: []" else []
-                if not all(map(_plain, refs)):
+                if entry is None:
                     return None
-            else:
-                return None
-            agents.append({"id": head[6:], "role": role[6:], "ref": refs})
+                agent[entry[0]] = entry[1]
+            agents.append(agent)
         if not agents:
             return None
         steps.append(step)
     return data if steps and rows[at][0] < 0 else None
 
 
+# PyYAML's pure SafeLoader defines what a text means. Its composer recurses
+# once per level of nesting, so the caller's stack bounds how deep it can go.
+# A valid topology is 7 nodes deep (mapping, steps, step, agents, agent, ref
+# list, ref), and a fixed bound far above that gives every text one class
+# whatever the stack it is read on.
+_MAX_DEPTH = 64
+_TOO_DEEP = "document nests too deeply for the YAML loader"
+
+
+class _DepthBoundLoader(yaml.SafeLoader):
+    """The pure SafeLoader, refusing documents nested deeper than _MAX_DEPTH nodes."""
+
+    _depth = 0
+
+    def compose_node(self, parent, index):
+        if self._depth == _MAX_DEPTH:
+            raise TopologyError(ErrorClass.YAML_PARSE_ERROR, _TOO_DEEP)
+        self._depth += 1
+        try:
+            return super().compose_node(parent, index)
+        finally:
+            self._depth -= 1
+
+
 def _load(yaml_text: str):
     """The data of a YAML text as the pure SafeLoader reads it.
 
-    Raises YAML_PARSE_ERROR with the first line of the pure loader's message.
+    Raises YAML_PARSE_ERROR with the first line of the pure loader's message,
+    or for a document nested deeper than _MAX_DEPTH nodes.
     """
     data = _read_plain(yaml_text)
     if data is not None:
         return data
-    if _C_LOADER is not None and _libyaml_reads(yaml_text):
-        try:
-            return yaml.load(yaml_text, Loader=_C_LOADER)
-        except (yaml.YAMLError, RecursionError):
-            pass  # the pure loader below words the error
     try:
-        return yaml.safe_load(yaml_text)
-    except RecursionError:
-        raise TopologyError(ErrorClass.YAML_PARSE_ERROR,
-                            "document nests too deeply for the YAML loader") from None
+        return yaml.load(yaml_text, Loader=_DepthBoundLoader)
+    except RecursionError:  # a caller already deep in its own stack
+        raise TopologyError(ErrorClass.YAML_PARSE_ERROR, _TOO_DEEP) from None
     except yaml.YAMLError as exc:
         first_line = str(exc).strip().splitlines()[0] if str(exc).strip() else "invalid YAML"
         raise TopologyError(ErrorClass.YAML_PARSE_ERROR, first_line) from exc
@@ -505,8 +502,9 @@ def canonicalize(doc: TopologyDoc) -> bytes:
 # A string that SafeDumper writes unquoted and that the SafeLoader reads back
 # as that string: an identifier-like word that is none of the 21 words the
 # YAML 1.1 resolver reads as a boolean or null. It is the only kind of string
-# that to_yaml writes itself and that _read_plain reads.
-_PLAIN_SCALAR = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]*")
+# that to_yaml writes itself and that _read_plain reads, and it is at most
+# 1024 characters long, as far as the scanner looks for the ":" after a key.
+_PLAIN_SCALAR = re.compile(r"[A-Za-z_][A-Za-z0-9_.-]{0,1023}")
 _RESOLVED_WORDS = frozenset(
     case(word) for word in ("yes", "no", "true", "false", "on", "off", "null")
     for case in (str.lower, str.title, str.upper))

@@ -48,6 +48,13 @@ def as_float(value: Any) -> float:
     return number
 
 
+def as_str(value: Any, field: str) -> str:
+    """A string field of decoded JSON; ``str`` would read ``null`` as "None"."""
+    if not isinstance(value, str):
+        raise TypeError(f"{field!r} must be a string, not {type(value).__name__}")
+    return value
+
+
 def dumps(data: Any, *, indent: int | None = None) -> str:
     """Serialize to JSON with 17-significant-digit floats.
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .jsonio import as_int, read_jsonl
+from .jsonio import as_int, as_str, read_jsonl
 
 
 @dataclass(frozen=True)
@@ -40,12 +40,13 @@ class ProblemSpec:
     def from_dict(cls, data: dict) -> "ProblemSpec":
         try:
             tests = tuple(
-                TestCase(input=str(t["input"]), expected_output=str(t["expected_output"]))
+                TestCase(input=as_str(t["input"], "input"),
+                         expected_output=as_str(t["expected_output"], "expected_output"))
                 for t in data["tests"]
             )
             return cls(
-                id=str(data["id"]),
-                description=str(data["description"]),
+                id=as_str(data["id"], "id"),
+                description=as_str(data["description"], "description"),
                 tests=tests,
                 time_limit_ms=as_int(data.get("time_limit_ms", 2000)),
                 memory_limit_mb=as_int(data.get("memory_limit_mb", 512)),

@@ -13,6 +13,7 @@ from oracles import advantages_oracle, graph_reward_oracle
 
 from agentdag.cli import main
 from agentdag.corpus import CorpusRecord, read_corpus, write_corpus
+from agentdag.problem import ProblemSpec
 
 VALID_TOPOLOGY = """\
 difficulty: 1
@@ -86,6 +87,42 @@ def echo_problem_dict(pid: str = "echo") -> dict:
         "time_limit_ms": 4000,
         "memory_limit_mb": 256,
     }
+
+
+class TestProblemRecords:
+    """A problem's text fields must be JSON strings; ``str`` would read ``null``
+    as "None" and ``3`` as "3", text nobody wrote."""
+
+    NOT_STRINGS = [None, 3, 1.5, True, ["x"], {"a": 1}]
+
+    @pytest.mark.parametrize("value", NOT_STRINGS)
+    def test_an_id_that_is_no_string_is_malformed(self, value):
+        with pytest.raises(ValueError, match="malformed problem record: 'id' must be a string"):
+            ProblemSpec.from_dict(dict(echo_problem_dict(), id=value))
+
+    @pytest.mark.parametrize("value", NOT_STRINGS)
+    def test_a_description_that_is_no_string_is_malformed(self, value):
+        with pytest.raises(ValueError, match="'description' must be a string"):
+            ProblemSpec.from_dict(dict(echo_problem_dict(), description=value))
+
+    @pytest.mark.parametrize("value", NOT_STRINGS)
+    def test_a_test_input_that_is_no_string_is_malformed(self, value):
+        data = dict(echo_problem_dict(), tests=[{"input": value, "expected_output": "hi\n"}])
+        with pytest.raises(ValueError, match="'input' must be a string"):
+            ProblemSpec.from_dict(data)
+
+    @pytest.mark.parametrize("value", NOT_STRINGS)
+    def test_an_expected_output_that_is_no_string_is_malformed(self, value):
+        data = dict(echo_problem_dict(), tests=[{"input": "hi\n", "expected_output": value}])
+        with pytest.raises(ValueError, match="'expected_output' must be a string"):
+            ProblemSpec.from_dict(data)
+
+    def test_string_fields_are_kept_as_written(self):
+        data = dict(echo_problem_dict(), id="None", description="",
+                    tests=[{"input": "", "expected_output": "3"}])
+        problem = ProblemSpec.from_dict(data)
+        assert (problem.id, problem.description, problem.tests[0].input,
+                problem.tests[0].expected_output) == ("None", "", "", "3")
 
 
 class TestValidate:

@@ -7,6 +7,7 @@ import json
 import random
 import re
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -412,36 +413,43 @@ class TestTotality:
         assert isinstance(payload["detail"], str)
 
 
+def nested(levels: int, form: str) -> str:
+    """A well-formed text whose node tree is ``levels`` deep: flow lists, or
+    block items over one scalar."""
+    return "[" * levels + "]" * levels if form == "flow" else "- " * (levels - 1) + "x"
+
+
+def at_stack_depth(frames: int, text: str) -> CheckResult:
+    return at_stack_depth(frames - 1, text) if frames else check_yaml(text)
+
+
 class TestDeepNesting:
-    DEEP = "[" * 500 + "]" * 500
+    TOO_DEEP = "document nests too deeply for the YAML loader"
 
-    def test_the_pure_loaders_recursion_limit_is_a_parse_error(self, monkeypatch):
-        # A tab in a comment keeps a text off the libyaml path; so do more
-        # nesting indicators than that path takes.
-        for text in ("# \t\n" + self.DEEP, "- " * 1001 + "x"):
-            result = check_yaml(text)
+    @pytest.mark.parametrize("form", ["flow", "block"])
+    @pytest.mark.parametrize("levels", [65, 500, 1001, 5000])
+    def test_nesting_past_the_bound_is_a_parse_error_on_any_stack(self, levels, form):
+        text = nested(levels, form)
+        results = [at_stack_depth(frames, text) for frames in (0, sys.getrecursionlimit() - 300)]
+        thread = threading.Thread(target=lambda: results.append(check_yaml(text)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and len(results) == 3
+        for result in results:
             assert result.error_class is ErrorClass.YAML_PARSE_ERROR
-            assert result.detail == "document nests too deeply for the YAML loader"
-        assert check_topology(fenced("# \t\n" + self.DEEP)).error_class \
-            is ErrorClass.YAML_PARSE_ERROR
-        monkeypatch.setattr(dsl, "_C_LOADER", None)
-        assert check_yaml(self.DEEP).error_class is ErrorClass.YAML_PARSE_ERROR
+            assert result.detail == self.TOO_DEEP
+        assert check_topology(fenced(text)).error_class is ErrorClass.YAML_PARSE_ERROR
 
-    def test_merge_chains_under_a_deep_caller_stack_are_a_parse_error(self):
-        # The constructor follows "<<" merges recursively on either loader.
-        text = "{<<: " * 400 + "{a: 1}" + "}" * 400
-
-        def at_depth(frames: int) -> CheckResult:
-            return at_depth(frames - 1) if frames else check_yaml(text)
-
-        result = at_depth(sys.getrecursionlimit() - 300)
-        assert result.detail == "document nests too deeply for the YAML loader"
-
-    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
-    def test_libyaml_reads_deep_nesting_and_the_schema_rejects_it(self):
-        result = check_yaml(self.DEEP)
+    @pytest.mark.parametrize("form", ["flow", "block"])
+    def test_nesting_at_the_bound_is_read(self, form):
+        result = check_yaml(nested(64, form))
         assert result.error_class is ErrorClass.YAML_SCHEMA_INVALID
         assert result.detail == "top level must be a mapping, got list"
+
+    def test_merge_chains_under_a_deep_caller_stack_are_a_parse_error(self):
+        text = "{<<: " * 400 + "{a: 1}" + "}" * 400
+        result = at_stack_depth(sys.getrecursionlimit() - 300, text)
+        assert result.detail == self.TOO_DEEP
 
 
 # Ids that the dumper must quote, that leave printable ASCII, or on which the
@@ -690,6 +698,31 @@ def break_line(rng: random.Random, text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Keys and values of inserted lines; the last of each the reader must decline:
+# a key past the scanner's 1024-character reach, values YAML reads otherwise,
+# and no value, which is null unless block items follow.
+EXTRA_KEYS = ("budget", "model", "difficulty", "steps", "step", "id", "role", "ref") * 4 \
+    + ("k" * 1025,)
+EXTRA_VALUES = ("3", "0", "big", "t1_a0", "[]", "[a, b]") * 6 \
+    + ("[a,b]", "01", "-1", "yes", "x y", "'q'", "")
+
+
+def insert_keys(rng: random.Random, text: str) -> str:
+    """``text`` with one to three ``key: value`` lines inserted before
+    ``steps:``, or before or after an agent's ``role`` or ``ref`` line at its
+    column, some of them repeating a key that is already there."""
+    lines = text.split("\n")[:-1]
+    for _ in range(rng.randint(1, 3)):
+        line = f"{rng.choice(EXTRA_KEYS)}: {rng.choice(EXTRA_VALUES)}".rstrip()
+        if rng.random() < 0.4:
+            lines.insert(rng.randint(0, lines.index("steps:")), line)
+        else:
+            at = rng.choice([i for i, row in enumerate(lines)
+                             if row.lstrip().startswith(("role: ", "ref:"))])
+            lines.insert(at + rng.randint(0, 1), lines[at][:lines[at].index("r")] + line)
+    return "\n".join(lines) + "\n"
+
+
 def test_the_plain_reader_returns_what_the_safe_loader_reads():
     rng = random.Random(0x4EAD)
     seeds = [plain_text(bench_topology(rng), header=rng.random() < 0.8,
@@ -699,6 +732,7 @@ def test_the_plain_reader_returns_what_the_safe_loader_reads():
     assert all(dsl._read_plain(text) is not None for text in seeds)
     texts = seeds + [mutate(rng, text) for text in seeds]
     texts += [break_line(rng, text) for text in seeds for _ in range(2)]
+    texts += [insert_keys(rng, text) for text in seeds]
     read = 0
     for text in texts:
         data = dsl._read_plain(text)
@@ -751,56 +785,23 @@ def test_plain_documents_are_read_without_the_loader(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("parse_topology called the YAML loader")
 
+    # The bench's well-formed schema breaks: an unknown top-level key, and an
+    # unknown agent key; the loader alone gives the reference.
+    breaks = [text for doc in docs for plain in [plain_text(doc)]
+              for text in ("budget: 3\n" + plain,
+                           re.sub(r"( *)role:", r"\1model: big\n\1role:", plain, count=1))]
+    with monkeypatch.context() as loader_only:
+        loader_only.setattr(dsl, "_read_plain", lambda text: None)
+        loaded = [check_yaml(text) for text in breaks]
+    assert {result.detail for result in loaded} \
+        == {"unknown top-level keys: ['budget']", "unknown agent keys: ['model']"}
+
     monkeypatch.setattr(yaml, "load", refuse)
     monkeypatch.setattr(yaml, "safe_load", refuse)
     assert len(golden) == 8
     assert [check_yaml(text, fallback_difficulty=1) for text in texts] == expected
     assert sum(result.ok for result in expected) >= len(docs) * 3
-
-
-@pytest.mark.skipif(not yaml.__with_libyaml__,
-                    reason="PyYAML is built without libyaml, so only the pure loader runs")
-class TestLibyamlAgreesWithThePureCodec:
-    """The libyaml loader is taken only where it reads what the pure loader reads."""
-
-    @pytest.fixture(scope="class")
-    def mutated(self, rendered):
-        rng = random.Random(0xD1FF)
-        return [mutate(rng, text) for _, text in rendered for _ in range(4)]
-
-    def test_where_libyaml_reads_a_text_the_pure_loader_gives_the_same_data(self, mutated):
-        taken = 0
-        for text in mutated:
-            if not dsl._libyaml_reads(text):
-                continue
-            try:
-                fast = yaml.load(text, Loader=yaml.CSafeLoader)
-            except yaml.YAMLError:
-                continue  # parse_topology falls back to the pure loader
-            taken += 1
-            assert repr(yaml.safe_load(text)) == repr(fast), text
-        assert taken > 300
-
-    def test_check_yaml_equals_the_pure_loader_reference(self, mutated, monkeypatch):
-        results = [check_yaml(text) for text in mutated]
-        monkeypatch.setattr(dsl, "_C_LOADER", None)
-        monkeypatch.setattr(dsl, "_read_plain", lambda text: None)
-        assert [check_yaml(text) for text in mutated] == results
-
-    # Texts that libyaml reads otherwise than the pure loader: an empty node
-    # tagged "!", "|#" and ">#" block-scalar headers, "?" in a flow scalar.
-    @pytest.mark.parametrize("text", [
-        "difficulty: 1\nsteps:\n- agents:\n  - id: a\n    role: planning\n    ref: !\n",
-        "difficulty: 1\nsteps: |#\n",
-        "difficulty: 1\nsteps: >#\n",
-        "difficulty: 1\nsteps: [a?]\n",
-    ])
-    def test_texts_libyaml_misreads_are_classified_as_the_pure_loader_does(self, text,
-                                                                          monkeypatch):
-        result = check_yaml(text)
-        monkeypatch.setattr(dsl, "_C_LOADER", None)
-        monkeypatch.setattr(dsl, "_read_plain", lambda text: None)
-        assert check_yaml(text) == result
+    assert [check_yaml(text) for text in breaks] == loaded
 
 
 def test_parse_error_messages_are_single_line():

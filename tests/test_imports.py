@@ -111,6 +111,40 @@ def test_yaml_is_read_and_written_only_in_dsl_and_config():
     assert yaml_codec_uses(PACKAGE_ROOT / "dsl.py")  # the check sees real uses
 
 
+# PyYAML's libyaml classes exist only where PyYAML was built with libyaml, and
+# read some texts otherwise than the pure ones; naming them would make what a
+# text means depend on how PyYAML was built.
+LIBYAML_NAMES = {"CSafeLoader", "CSafeDumper"}
+
+
+def libyaml_names(source: str) -> list[int]:
+    """The lines of ``source`` that name a libyaml class: as a name, an
+    attribute, an import or a string."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Constant):
+            names = [node.value]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [node.lineno for name in names if name in LIBYAML_NAMES]
+    return sorted(found)
+
+
+def test_no_module_names_pyyamls_libyaml_classes():
+    offenders = [f"{path.relative_to(PACKAGE_ROOT)}:{line}"
+                 for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+                 for line in libyaml_names(path.read_text(encoding="utf-8"))]
+    assert offenders == []
+    assert libyaml_names("from yaml import CSafeDumper\nL = yaml.CSafeLoader\n"
+                         "D = getattr(yaml, 'CSafeDumper', None)\nCSafeLoader\n") == [1, 2, 3, 4]
+
+
 # perfbench's traced mode replaces ``sandbox.subprocess`` with a namespace
 # that holds only these two names.
 SANDBOX_SUBPROCESS_NAMES = {"run", "TimeoutExpired"}
@@ -239,6 +273,7 @@ NOT_FOR_VALIDATE_OR_CORPUS = {
     "agentdag.orchestrator", "agentdag.rewards", "agentdag.adapters.remote",
     "agentdag.adapters.sandbox", "agentdag.adapters.scripted", "concurrent.futures",
     "urllib.request", "http.client", "subprocess", "tempfile", "statistics", "fractions",
+    "hashlib",
 }
 
 VALID_TOPOLOGY = """\
