@@ -2,23 +2,32 @@
 process that judges one candidate per job, and imports nothing of agentdag.
 
 Both ways it speaks in frames, a marshalled value after its size in 8
-little-endian bytes, spelled out only here: the judge writes jobs with
-``job_frame`` and splits replies with ``split_replies``. For each input of a
-job ``(workdir, code, argv, inputs, limit_s, limit_as, keep)``, read from
-stdin, the harness forks a child that moves to ``workdir`` and leads a session
-of its own under RLIMIT_AS. A child runs ``code`` itself with ``sys.argv =
-["-c", *argv]``, as ``python3 -I -S -c code *argv`` would, or execs ``argv``
-when ``code`` is None. The harness feeds the child's stdin, keeps the first
-``keep`` bytes of its stdout and stderr, and kills its process group when it
-exits or its time is up. It replies on stdout with ``("pid", pid)`` once a
-child is forked, then ``("result", (exit code or None on timeout, stdout,
-stderr, ended by an uncaught MemoryError))``, or ``("error", why)`` when the
-child could not start, which ends the job. Every job ends with ``("end",
-retiring)``; a harness whose address-space size is no longer the one it had
-when it became ready retires, so that every test starts from the footprint of
-a fresh harness. It exits at end of file on stdin. Its imports are kept light
-(no signal, which pulls in enum), and it never touches sys.stdin or
-sys.stdout, so a child inherits them unread and unwritten.
+little-endian bytes, spelled out only here: the judge writes a setup with
+``setup_frame`` and jobs with ``job_frame``, the harness writes results with
+``result_frame``, and the judge splits replies with ``split_replies``. The
+setup ``(code, keep)``, read first from stdin, is the in-fork code of the job
+that spawned the harness (or None) and the output cap. The harness compiles
+that code once, before it becomes ready, and a job whose code is the same runs
+the compiled program in every child; a child compiles any other code itself,
+and so also code whose compile here raised or showed a warning.
+
+For each input of a job ``(workdir, code, argv, inputs, limit_s, limit_as,
+keep)``, the harness forks a child that moves to ``workdir`` and leads a
+session of its own under RLIMIT_AS. A child runs ``code`` itself with
+``sys.argv = ["-c", *argv]``, as ``python3 -I -S -c code *argv`` would, or
+execs ``argv`` when ``code`` is None. The harness feeds the child's stdin,
+reads its stdout and stderr into buffers of ``keep`` bytes allocated at
+start-up, so that no output grows its heap, throws away what does not fit, and
+kills its process group when it exits or its time is up. It replies on stdout
+with ``("pid", pid)`` once a child is forked, then ``("result", (exit code or
+None on timeout, stdout size, stderr size, ended by an uncaught
+MemoryError))`` followed by the kept bytes of stdout and of stderr, raw, or
+``("error", why)`` when the child could not start, which ends the job. Every
+job ends with ``("end", retiring)``; a harness whose address-space size is no
+longer the one it had when it became ready retires, so that every test starts
+from the footprint of a fresh harness. It exits at end of file on stdin. Its
+imports are kept light (no signal, which pulls in enum), and it never touches
+sys.stdin or sys.stdout, so a child inherits them unread and unwritten.
 """
 
 import _signal, marshal, os, resource, select, sys, time
@@ -36,31 +45,74 @@ def frame(value):
     return len(data).to_bytes(8, "little") + data
 
 
+def setup_frame(code, keep):
+    return frame((code, keep))
+
+
 def job_frame(workdir, code, argv, inputs, limit_s, limit_as, keep):
     return frame((workdir, code, argv, inputs, limit_s, limit_as, keep))
 
 
 def split_replies(buffer):
-    # Takes each whole frame off ``buffer``; one that does not decode is (None, None).
+    # Takes each whole reply off ``buffer``, a result with its output bytes in
+    # place of their sizes; a frame that does not decode is (None, None).
     while len(buffer) >= 8 + (size := int.from_bytes(buffer[:8], "little")):
+        end = 8 + size
         try:
-            tag, payload = marshal.loads(buffer[8:8 + size])
+            tag, payload = marshal.loads(buffer[8:end])
+            if tag == "result":
+                returncode, out, err, memory_error = payload
+                if len(buffer) < end + out + err:
+                    return
+                payload = (returncode, bytes(buffer[end:end + out]),
+                           bytes(buffer[end + out:end + out + err]), memory_error)
+                end += out + err
         except (EOFError, ValueError, TypeError):
             tag = payload = None
-        del buffer[:8 + size]
+        del buffer[:end]
         yield tag, payload
 
 
-def send(tag, payload):
-    data = memoryview(frame((tag, payload)))
-    while data:
-        data = data[os.write(1, data):]
+def result_frame(returncode, out, err, memory_error):
+    # A result's frame holds the sizes of its outputs; their bytes follow it as they are.
+    return frame(("result", (returncode, len(out), len(err), memory_error))), out, err
+
+
+def send(*chunks):
+    views = [memoryview(chunk) for chunk in chunks]
+    while views:
+        written = os.writev(1, views)
+        while views and written >= len(views[0]):
+            written -= len(views.pop(0))
+        if views:
+            views[0] = views[0][written:]
 
 
 def footprint():
     # The address-space size, in pages, that a child forked now would start with.
     with open("/proc/self/statm", "rb", buffering=0) as statm:
         return int(statm.read(64).split()[0])
+
+
+class Shown(list):
+    # Stands in for sys.stderr to collect what the warnings machinery shows.
+    write = list.append
+
+
+def warm_up(code):
+    # ``code`` compiled as exec() compiles a string, or None when there is no
+    # code, or when compiling it raised or showed a warning: a child must then
+    # compile it itself, to raise or warn as it would have.
+    if code is None:
+        return None
+    stderr, sys.stderr = sys.stderr, Shown()
+    try:
+        program = compile(code, "<string>", "exec")
+    except Exception:
+        program = None
+    finally:
+        shown, sys.stderr = sys.stderr, stderr
+    return None if shown else program
 
 
 def exit_status(code):
@@ -129,7 +181,9 @@ def child(workdir, code, argv, limit_as, in_r, out_w, err_w, report_w, others):
             status = exit_status(exc.code)
             memory_error = isinstance(exc.__context__, MemoryError)
         except BaseException as exc:
-            sys.excepthook(type(exc), exc, exc.__traceback__.tb_next)
+            # Without this frame, as the interpreter shows an error in -c code.
+            exc.__traceback__ = exc.__traceback__.tb_next
+            sys.excepthook(type(exc), exc, exc.__traceback__)
             memory_error = isinstance(exc, MemoryError)
         status = finish(status)
         if memory_error:
@@ -138,19 +192,21 @@ def child(workdir, code, argv, limit_as, in_r, out_w, err_w, report_w, others):
         os._exit(status)
 
 
-def take(fd, kept, keep):
-    # Reads one chunk and keeps it up to the cap; False at end of file.
-    chunk = os.read(fd, 65536)
-    kept += chunk[:keep - len(kept)]
-    return bool(chunk)
-
-
-def supervise(pid, deadline, data, keep, in_w, out_r, err_r):
+def supervise(pid, deadline, data, in_w, outputs, spill):
+    # Returns the exit code, or None on timeout, and how much of each output
+    # fits its buffer; the rest of each goes to ``spill``, to be overwritten.
     pidfd = os.pidfd_open(pid)
-    kept = {out_r: bytearray(), err_r: bytearray()}
-    readers = [out_r, err_r, pidfd]
+    kept = dict.fromkeys(outputs, 0)
+    readers = [*outputs, pidfd]
     pending = memoryview(data)
     timed_out = False
+
+    def take(fd):
+        # Reads one chunk; False at end of file.
+        size = os.readv(fd, [outputs[fd][kept[fd]:], spill])
+        kept[fd] = min(kept[fd] + size, len(outputs[fd]))
+        return size > 0
+
     while True:
         if not pending and in_w is not None:
             os.close(in_w)
@@ -163,7 +219,7 @@ def supervise(pid, deadline, data, keep, in_w, out_r, err_r):
         writers = [] if in_w is None else [in_w]
         readable, writable, _ = select.select(readers, writers, [], left)
         for fd in readable:
-            if fd != pidfd and not take(fd, kept[fd], keep):
+            if fd != pidfd and not take(fd):
                 readers.remove(fd)
         if writable:
             try:
@@ -180,19 +236,19 @@ def supervise(pid, deadline, data, keep, in_w, out_r, err_r):
         os.kill(pid, _signal.SIGKILL)
     # Take only what the pipes hold now: a writer that escaped the group
     # must not keep the harness reading.
-    for fd in (out_r, err_r):
+    for fd in outputs:
         try:
-            while fd in readers and len(kept[fd]) < keep and take(fd, kept[fd], keep):
+            while fd in readers and kept[fd] < len(outputs[fd]) and take(fd):
                 pass
         except BlockingIOError:
             pass
     _, status = os.waitpid(pid, 0)
-    for fd in (pidfd, out_r, err_r):
+    for fd in (pidfd, *outputs):
         os.close(fd)
     if in_w is not None:
         os.close(in_w)
     returncode = None if timed_out else os.waitstatus_to_exitcode(status)
-    return returncode, bytes(kept[out_r]), bytes(kept[err_r])
+    return returncode, *kept.values()
 
 
 def main():
@@ -200,16 +256,21 @@ def main():
     # The first compile() in a process builds the compiler's AST types, about
     # 2 ms; built here once, they are not built again in every child.
     compile("", "<harness>", "exec")
-    # The first 64 KB read buffer, and the job reader's, grow the heap for good;
-    # allocated here, that growth is part of the footprint every child starts with.
-    bytes(65536)
     jobs = open(0, "rb", closefd=False)
+    warm, keep = read_job(jobs) or (None, 1)
+    program = warm_up(warm)
+    # Output is read into these and sent from them, so no test's output grows the heap.
+    out, err, spill = bytearray(keep), bytearray(keep), bytearray(65536)
     # Enough live containers for the collector to move what start-up made into its oldest
     # generation, where the collections a test makes never walk, and so copy, its pages.
     [[] for _ in range(10000)]
     ready = footprint()
     while job := read_job(jobs):
         workdir, code, argv, inputs, limit_s, limit_as, keep = job
+        if program is not None and code == warm:
+            code = program
+        if keep != len(out):  # the footprint rule then says whether the harness retires
+            out, err = bytearray(keep), bytearray(keep)
         for data in inputs:
             in_r, in_w = os.pipe()
             out_r, out_w = os.pipe()
@@ -224,22 +285,25 @@ def main():
                        (in_w, out_r, err_r, report_r))
             for fd in (in_r, out_w, err_w, report_w):
                 os.close(fd)
-            send("pid", pid)
-            returncode, out, err = supervise(pid, deadline, data, keep, in_w, out_r, err_r)
+            send(frame(("pid", pid)))
+            returncode, n_out, n_err = supervise(
+                pid, deadline, data, in_w, {out_r: memoryview(out), err_r: memoryview(err)},
+                spill)
             try:
-                report = os.read(report_r, 65536)
+                report = spill[:os.readv(report_r, [spill])]
             except BlockingIOError:  # held open by a process that escaped the group
                 report = b""
             os.close(report_r)
             if report.startswith(b"!"):
-                send("error", report[1:].decode("utf-8", "replace"))
+                send(frame(("error", report[1:].decode("utf-8", "replace"))))
                 break
-            send("result", (returncode, out, err, report == b"M"))
+            send(*result_frame(returncode, memoryview(out)[:n_out], memoryview(err)[:n_err],
+                               report == b"M"))
         # Dropped before the footprint is taken: a job's inputs may have grown
         # the heap, and every later child would start with the growth.
-        job = inputs = data = out = err = None
+        job = inputs = data = None
         retiring = footprint() != ready
-        send("end", retiring)
+        send(frame(("end", retiring)))
         if retiring:
             break
     os._exit(0)

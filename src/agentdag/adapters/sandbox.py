@@ -17,7 +17,7 @@ from typing import Sequence
 from ..config import ExecutorConfig, LanguageSpec
 from ..problem import TestCase
 from ..verdicts import ExecOutcome, TestResult, Verdict, classify_verdict, outputs_match
-from ._harness import job_frame, split_replies
+from ._harness import job_frame, setup_frame, split_replies
 from .base import SandboxError
 
 _ACTUAL_PREFIX_CHARS = 160
@@ -44,9 +44,11 @@ def _child_env() -> dict[str, str]:
 
 class _Harness:
     """One harness process, owned by the process that spawned it, and the
-    judge's ends of its pipes."""
+    judge's ends of its pipes. ``code`` is the in-fork code it compiles once,
+    or None, and ``keep`` its output cap; both go in the setup frame, which is
+    written ahead of its first job."""
 
-    def __init__(self):
+    def __init__(self, code: str | None, keep: int):
         job_r, self.jobs = os.pipe()
         self.replies, reply_w = os.pipe()
         self.errors, err_w = os.pipe()
@@ -65,12 +67,14 @@ class _Harness:
                 os.close(fd)
         self.owner = os.getpid()
         self.closed = False
+        self.unsent = setup_frame(code, keep)
         for fd in (self.jobs, self.replies, self.errors):
             os.set_blocking(fd, False)
 
     def judge(self, job: bytes, count: int,
               timeout_s: float) -> tuple[list[tuple], int | None, str | None]:
-        """Sends one job of ``count`` tests and reads its frames.
+        """Sends one job of ``count`` tests, after the setup if it is the
+        first, and reads its frames.
 
         Returns the results in order, the pid of a child left without one,
         and None, or how the harness ended when it died, ran out of time or
@@ -79,7 +83,8 @@ class _Harness:
         outlasts the timeout.
         """
         deadline = time.monotonic() + timeout_s
-        pending = memoryview(job)
+        pending = memoryview(self.unsent + job)
+        self.unsent = b""
         buffer = bytearray()
         results: list[tuple] = []
         running = None  # the pid of a child that has no result yet
@@ -289,11 +294,11 @@ class LocalExecutor:
         that got one, in order, and how the harness ended, if it did; a
         harness that ended early leaves no process of the test it was
         running."""
+        keep = self.config.max_output_bytes + 1
         job = job_frame(workdir, code, argv, [test.input.encode("utf-8") for test in tests],
-                        time_limit_ms / 1000, memory_limit_mb * 1024 * 1024,
-                        self.config.max_output_bytes + 1)
+                        time_limit_ms / 1000, memory_limit_mb * 1024 * 1024, keep)
         timeout_s = len(tests) * time_limit_ms / 1000 + _HARNESS_SLACK_S
-        harness = self._harness()
+        harness = self._harness(code, keep)
         try:
             results, running, ending = harness.judge(job, len(tests), timeout_s)
         except BaseException:
@@ -308,8 +313,8 @@ class LocalExecutor:
                 pass
         return results, ending
 
-    def _harness(self) -> _Harness:
-        """An idle harness of this process, or a new one."""
+    def _harness(self, code: str | None, keep: int) -> _Harness:
+        """An idle harness of this process, or a new one set up for ``code``."""
         while True:
             try:
                 harness = self._idle.pop()
@@ -319,7 +324,7 @@ class LocalExecutor:
                 return harness
             harness.close()  # inherited by a fork: its spawner's to end
         try:
-            return _Harness()
+            return _Harness(code, keep)
         except OSError as exc:
             raise SandboxError(f"failed to start the judge harness: {exc}") from exc
 

@@ -613,6 +613,20 @@ class TestJudgeHarness:
             Verdict.PASSED, Verdict.WRONG_ANSWER, Verdict.RUNTIME_ERROR, Verdict.RUNTIME_ERROR]
         assert "judge harness ended after 2 of 4 tests" in outcome.logs
 
+    @pytest.mark.skipif(shutil.which("sh") is None, reason="needs a POSIX shell")
+    def test_a_job_keeps_output_to_its_own_cap_when_the_setup_gave_another(self, tmp_path):
+        from agentdag.adapters import _harness, sandbox
+
+        for keep in (9, 4, 11):
+            harness = sandbox._Harness(None, 4)
+            job = _harness.job_frame(str(tmp_path), None, ["sh", "-c", "echo 123456789"],
+                                     [b""], 4.0, 1 << 30, keep)
+            try:
+                outcome = harness.judge(job, 1, 10.0)
+            finally:
+                harness.close()
+            assert outcome == ([(0, b"123456789\n"[:keep], b"", False)], None, None)
+
     def test_a_harness_that_never_finishes_is_timed_out_by_the_judge(self, monkeypatch):
         from agentdag.adapters import sandbox
 
@@ -630,21 +644,38 @@ class TestHarnessWireFormat:
     """The frames between judge and harness, through the harness module's own
     functions, imported in-process."""
 
-    REPLIES = [("pid", 4242), ("result", (0, b"7\n", b"", False)),
-               ("result", (None, b"", b"Traceback\n", True)), ("error", "why"), ("end", False)]
+    KEEP = ExecutorConfig().max_output_bytes + 1
 
-    def test_replies_split_at_every_byte_boundary_come_back_whole(self):
+    @pytest.mark.parametrize("stream", ["stdout", "stderr"])
+    @pytest.mark.parametrize("size", [0, 1, 25 * 1024, KEEP])
+    def test_replies_split_at_every_byte_boundary_come_back_whole(self, size, stream):
         from agentdag.adapters import _harness
 
-        stream = b"".join(_harness.frame(reply) for reply in self.REPLIES)
-        feeds = [[stream[:cut], stream[cut:]] for cut in range(len(stream) + 1)]
-        feeds.append([stream[i:i + 1] for i in range(len(stream))])
-        for feed in feeds:
-            buffer, replies = bytearray(), []
+        output = b"x" * size
+        results = [(0, output, b"", False) if stream == "stdout" else (0, b"", output, False),
+                   (None, b"7\n", b"Traceback\n", True)]
+        replies = [("pid", 4242), *(("result", result) for result in results),
+                   ("error", "why"), ("end", False)]
+        data = b"".join(chunk for tag, payload in replies for chunk in (
+            _harness.result_frame(*payload) if tag == "result" else [_harness.frame((tag, payload))]))
+        view = memoryview(data)
+        feeds = ([view[:cut], view[cut:]] for cut in range(len(data) + 1))
+        for feed in itertools.chain(feeds, [[view[i:i + 1] for i in range(len(data))]]):
+            buffer, split = bytearray(), []
             for chunk in feed:
                 buffer += chunk
-                replies.extend(_harness.split_replies(buffer))
-            assert replies == self.REPLIES and buffer == b""
+                split.extend(_harness.split_replies(buffer))
+            assert split == replies and buffer == b""
+
+    def test_the_setup_is_read_back_ahead_of_the_jobs(self):
+        from agentdag.adapters import _harness
+
+        job = ("workdir", "print(1)", ["a"], [b"1\n"], 0.5, 1 << 28, 65537)
+        for code in ("print(1)", None):
+            jobs = io.BytesIO(_harness.setup_frame(code, 65537) + _harness.job_frame(*job))
+            assert _harness.read_job(jobs) == (code, 65537)
+            assert _harness.read_job(jobs) == job
+            assert not _harness.read_job(jobs)
 
     def test_a_frame_that_does_not_decode_is_taken_off_as_none(self):
         from agentdag.adapters import _harness
@@ -854,6 +885,65 @@ class TestHarnessPool:
         after = int(judge_one(executor, PRINT_VMSIZE).per_test[0].actual_prefix)
         assert after <= fresh + 512
 
+    @pytest.mark.parametrize("source,expected", [
+        ("print('\\n'.join(str(i * i) for i in range(3200)))\n",  # about 25 KB
+         "\n".join(str(i * i) for i in range(3200)) + "\n"),
+        ("print('y' * 60000)\n", "y" * 60000 + "\n"),
+        ("import sys\nsys.stdout.write('o' * 200000)\nsys.stderr.write('e' * 200000)\n"
+         "sys.exit(1)\n", ""),
+    ], ids=["25KB", "60KB", "flood"])
+    def test_large_outputs_never_retire_the_harness(self, source, expected):
+        def judge(executor):
+            return executor.execute(source, "python", [TestCase(input="", expected_output=expected)],
+                                    time_limit_ms=4000, memory_limit_mb=256)
+
+        fresh = judge(LocalExecutor())
+        executor = LocalExecutor(ExecutorConfig(workers=1))
+        harness = harness_of(executor)
+        for _ in range(5):
+            assert judge(executor) == fresh
+            assert harness_of(executor) == harness
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs procfs")
+class TestWarmedProgram:
+    """A harness compiles the in-fork code of the job that spawned it once; a
+    child compiles any other code itself, and so also code whose compile
+    raised or warned in the harness. Either way a program ends as under
+    ``python3 -I -S -c CODE main.py``."""
+
+    @pytest.mark.parametrize("code", [
+        "import sys\nprint(len(sys.argv), sys.argv[1].endswith('main.py'), input(),\n"
+        "      file=sys.stderr)\nsys.exit(3)\n",
+        "def broken(:\n",
+        "import sys\nif sys.argv is 'x':\n    pass\nsys.exit(2)\n",
+    ], ids=["valid", "syntax error", "syntax warning"])
+    def test_custom_in_fork_code_ends_as_under_the_interpreter(self, code, tmp_path):
+        script = tmp_path / "main.py"
+        script.write_text("print('unused')\n", encoding="utf-8")
+        plain = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(script)],
+                               input="a\n", capture_output=True, text=True, timeout=30)
+        assert plain.returncode in (1, 2, 3) and plain.stderr
+        expected = f"test 0: runtime error (exit {plain.returncode}); stderr: {plain.stderr.strip()}"
+        languages = {"alt": {"run_cmd": [sys.executable, "-I", "-S", "-c", code, "{src}"],
+                             "source_name": "main.py"}}
+        config = config_from_mapping({"executor": {"workers": 1, "languages": languages}})
+
+        def judge(executor):
+            outcome = executor.execute("print('unused')\n", "alt", [TestCase("a\n", "")],
+                                       time_limit_ms=4000, memory_limit_mb=256)
+            assert outcome.verdict is Verdict.RUNTIME_ERROR
+            assert outcome.logs == expected
+
+        spawned_by_it = LocalExecutor(config.executor)
+        for _ in range(2):
+            judge(spawned_by_it)
+        warmed_with_another = LocalExecutor(config.executor)
+        harness = harness_of(warmed_with_another)
+        for _ in range(2):
+            judge(warmed_with_another)
+        assert harness_of(warmed_with_another) == harness
+
 
 @pytest.mark.skipif(shutil.which("sh") is None, reason="needs a POSIX shell")
 class TestExecPath:
@@ -897,6 +987,47 @@ class TestExecPath:
         while live_session_members(sid) and time.monotonic() < deadline:
             time.sleep(0.02)
         assert live_session_members(sid) == []
+
+
+@pytest.mark.skipif(shutil.which("cc") is None, reason="needs a C compiler")
+class TestCompiledLanguage:
+    """A compiled language end to end: its compile step, and its binary exec'd
+    in the fork."""
+
+    C = {"c": {"compile_cmd": ["cc", "-O2", "-o", "{bin}", "{src}"], "run_cmd": ["{bin}"],
+               "source_name": "main.c"}}
+    SUM = ("#include <stdio.h>\n"
+           "int main(void) { long a, b; scanf(\"%ld %ld\", &a, &b); printf(\"%ld\\n\", a + b);"
+           " return 0; }\n")
+
+    def judge(self, source: str, tests: list[TestCase], memory_limit_mb: int = 256):
+        return executor_for(self.C).execute(source, "c", tests, time_limit_ms=4000,
+                                            memory_limit_mb=memory_limit_mb)
+
+    def test_a_correct_program_passes_every_test(self):
+        outcome = self.judge(self.SUM, [TestCase("1 2\n", "3\n"), TestCase("10 -4\n", "6\n")])
+        assert [t.status for t in outcome.per_test] == [Verdict.PASSED] * 2, outcome.logs
+        assert outcome.per_test[1].actual_prefix == "6\n"
+        assert outcome.logs == "all 2 tests passed"
+
+    def test_a_wrong_expectation_is_a_wrong_answer(self):
+        outcome = self.judge(self.SUM, [TestCase("1 2\n", "3\n"), TestCase("1 2\n", "4\n")])
+        assert [t.status for t in outcome.per_test] == [Verdict.PASSED, Verdict.WRONG_ANSWER]
+        assert outcome.logs == "test 1: expected '4', got '3', input '1 2'"
+
+    def test_a_syntax_error_is_a_compilation_error_with_the_compiler_message(self):
+        outcome = self.judge("int main(void) { return 0 }\n", [TestCase("", "")] * 2)
+        assert [t.status for t in outcome.per_test] == [Verdict.COMPILATION_ERROR] * 2
+        assert outcome.logs.startswith("compilation failed (exit 1): ")
+        assert "main.c" in outcome.logs and "error" in outcome.logs
+
+    def test_an_allocation_past_the_memory_limit_fails_and_exits_as_written(self):
+        source = ("#include <stdlib.h>\n#include <string.h>\n"
+                  "int main(void) { char *p = malloc(128L << 20); if (!p) return 3;"
+                  " memset(p, 1, 128L << 20); return 0; }\n")
+        outcome = self.judge(source, [TestCase("", "")], memory_limit_mb=64)
+        assert outcome.verdict is Verdict.RUNTIME_ERROR
+        assert outcome.logs == "test 0: runtime error (exit 3); stderr: "
 
 
 # -- remote loopback -----------------------------------------------------------
