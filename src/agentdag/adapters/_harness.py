@@ -5,22 +5,18 @@ Both ways it speaks in frames, a marshalled value after its size in 8
 little-endian bytes, spelled out only here: the judge writes a setup with
 ``setup_frame`` and jobs with ``job_frame``, the harness writes results with
 ``result_frame``, and the judge splits replies with ``split_replies``. The
-setup ``(code, keep)``, read first from stdin, is the in-fork code of the job
-that spawned the harness (or None) and the output cap. The harness compiles
-that code once, before it becomes ready, and a job whose code is the same runs
-the compiled program in every child; a child compiles any other code itself,
-and so also code whose compile here raised or showed a warning.
+setup, read first from stdin, is the output cap ``keep``.
 
-For each input of a job ``(workdir, code, argv, inputs, limit_s, limit_as,
-keep)``, the harness forks a child that moves to ``workdir`` and leads a
-session of its own under RLIMIT_AS. A child runs ``code`` itself with
-``sys.argv = ["-c", *argv]``, as ``python3 -I -S -c code *argv`` would, or
-execs ``argv`` when ``code`` is None. The harness feeds the child's stdin,
-reads its stdout and stderr into buffers of ``keep`` bytes allocated at
-start-up, so that no output grows its heap, throws away what does not fit, and
-kills its process group when it exits or its time is up. It replies on stdout
-with ``("pid", pid)`` once a child is forked, then ``("result", (exit code or
-None on timeout, stdout size, stderr size, ended by an uncaught
+For each input of a job ``(workdir, in_fork, argv, inputs, limit_s,
+limit_as)``, the harness forks a child that moves to ``workdir`` and leads a
+session of its own under RLIMIT_AS. With ``in_fork`` set, a child runs the
+Python file ``argv[0]`` itself with ``sys.argv = argv``, as ``python3 -I -S
+*argv`` would; otherwise it execs ``argv``. The harness feeds the child's
+stdin, reads its stdout and stderr into buffers of ``keep`` bytes allocated
+at start-up, so that no output grows its heap, throws away what does not fit,
+and kills its process group when it exits or its time is up. It replies on
+stdout with ``("pid", pid)`` once a child is forked, then ``("result", (exit
+code or None on timeout, stdout size, stderr size, ended by an uncaught
 MemoryError))`` followed by the kept bytes of stdout and of stderr, raw, or
 ``("error", why)`` when the child could not start, which ends the job. Every
 job ends with ``("end", retiring)``; a harness whose address-space size is no
@@ -30,7 +26,7 @@ imports are kept light (no signal, which pulls in enum), and it never touches
 sys.stdin or sys.stdout, so a child inherits them unread and unwritten.
 """
 
-import _signal, marshal, os, resource, select, sys, time
+import _signal, builtins, marshal, os, resource, select, sys, time
 
 
 def read_job(jobs):
@@ -45,12 +41,12 @@ def frame(value):
     return len(data).to_bytes(8, "little") + data
 
 
-def setup_frame(code, keep):
-    return frame((code, keep))
+def setup_frame(keep):
+    return frame(keep)
 
 
-def job_frame(workdir, code, argv, inputs, limit_s, limit_as, keep):
-    return frame((workdir, code, argv, inputs, limit_s, limit_as, keep))
+def job_frame(workdir, in_fork, argv, inputs, limit_s, limit_as):
+    return frame((workdir, in_fork, argv, inputs, limit_s, limit_as))
 
 
 def split_replies(buffer):
@@ -94,27 +90,6 @@ def footprint():
         return int(statm.read(64).split()[0])
 
 
-class Shown(list):
-    # Stands in for sys.stderr to collect what the warnings machinery shows.
-    write = list.append
-
-
-def warm_up(code):
-    # ``code`` compiled as exec() compiles a string, or None when there is no
-    # code, or when compiling it raised or showed a warning: a child must then
-    # compile it itself, to raise or warn as it would have.
-    if code is None:
-        return None
-    stderr, sys.stderr = sys.stderr, Shown()
-    try:
-        program = compile(code, "<string>", "exec")
-    except Exception:
-        program = None
-    finally:
-        shown, sys.stderr = sys.stderr, stderr
-    return None if shown else program
-
-
 def exit_status(code):
     # As the interpreter reads the code of an uncaught SystemExit.
     if code is None:
@@ -150,7 +125,7 @@ def finish(status):
     return status
 
 
-def child(workdir, code, argv, limit_as, in_r, out_w, err_w, report_w, others):
+def child(workdir, in_fork, argv, limit_as, in_r, out_w, err_w, report_w, others):
     try:
         os.chdir(workdir)
         os.setsid()
@@ -160,7 +135,7 @@ def child(workdir, code, argv, limit_as, in_r, out_w, err_w, report_w, others):
         os.dup2(err_w, 2)
         for fd in (in_r, out_w, err_w, *others):
             os.close(fd)
-        if code is None:
+        if not in_fork:
             for signum in (_signal.SIGPIPE, _signal.SIGXFSZ):
                 _signal.signal(signum, _signal.SIG_DFL)
             os.execvp(argv[0], argv)
@@ -171,17 +146,24 @@ def child(workdir, code, argv, limit_as, in_r, out_w, err_w, report_w, others):
             os._exit(127)
     status = 1
     try:
-        sys.argv = ["-c", *argv]
+        sys.argv = argv
+        module = sys.modules["__main__"] = type(sys)("__main__")
+        module.__file__ = argv[0]
+        # The frames of this module and of this function sit below the program's own.
         sys.setrecursionlimit(sys.getrecursionlimit() + 2)
         memory_error = False
         try:
-            exec(code, {"__name__": "__main__", "__builtins__": __builtins__})
+            with open(argv[0], "rb") as source:
+                # Not this module's compiler flags, which a future import here would set.
+                program = compile(source.read(), argv[0], "exec", dont_inherit=True)
+            exec(program, vars(module))
             status = 0
         except SystemExit as exc:
             status = exit_status(exc.code)
+            # A program that exits on catching a MemoryError ran out of memory too.
             memory_error = isinstance(exc.__context__, MemoryError)
         except BaseException as exc:
-            # Without this frame, as the interpreter shows an error in -c code.
+            # Without this frame, as the interpreter shows an error in a script.
             exc.__traceback__ = exc.__traceback__.tb_next
             sys.excepthook(type(exc), exc, exc.__traceback__)
             memory_error = isinstance(exc, MemoryError)
@@ -256,9 +238,10 @@ def main():
     # The first compile() in a process builds the compiler's AST types, about
     # 2 ms; built here once, they are not built again in every child.
     compile("", "<harness>", "exec")
+    # As site binds them for ``python3 FILE``; -S leaves them out.
+    builtins.exit = builtins.quit = sys.exit
     jobs = open(0, "rb", closefd=False)
-    warm, keep = read_job(jobs) or (None, 1)
-    program = warm_up(warm)
+    keep = read_job(jobs) or 1
     # Output is read into these and sent from them, so no test's output grows the heap.
     out, err, spill = bytearray(keep), bytearray(keep), bytearray(65536)
     # Enough live containers for the collector to move what start-up made into its oldest
@@ -266,11 +249,7 @@ def main():
     [[] for _ in range(10000)]
     ready = footprint()
     while job := read_job(jobs):
-        workdir, code, argv, inputs, limit_s, limit_as, keep = job
-        if program is not None and code == warm:
-            code = program
-        if keep != len(out):  # the footprint rule then says whether the harness retires
-            out, err = bytearray(keep), bytearray(keep)
+        workdir, in_fork, argv, inputs, limit_s, limit_as = job
         for data in inputs:
             in_r, in_w = os.pipe()
             out_r, out_w = os.pipe()
@@ -281,7 +260,7 @@ def main():
             deadline = time.monotonic() + limit_s
             pid = os.fork()
             if pid == 0:
-                yield (workdir, code, argv, limit_as, in_r, out_w, err_w, report_w,
+                yield (workdir, in_fork, argv, limit_as, in_r, out_w, err_w, report_w,
                        (in_w, out_r, err_r, report_r))
             for fd in (in_r, out_w, err_w, report_w):
                 os.close(fd)

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import threading
 import time
+import warnings
 import weakref
 from pathlib import Path
 from typing import Sequence
@@ -27,6 +28,8 @@ _HARNESS_SLACK_S = 5.0
 # The only variables that candidates and compilers see of the caller's
 # environment; API keys and PYTHONPATH stay behind.
 _ENV_KEYS = ("PATH", "LANG")
+# warnings.catch_warnings swaps process-wide state; one syntax check at a time.
+_SYNTAX_CHECK_LOCK = threading.Lock()
 
 
 def _clip(text: str, limit: int) -> str:
@@ -44,11 +47,10 @@ def _child_env() -> dict[str, str]:
 
 class _Harness:
     """One harness process, owned by the process that spawned it, and the
-    judge's ends of its pipes. ``code`` is the in-fork code it compiles once,
-    or None, and ``keep`` its output cap; both go in the setup frame, which is
-    written ahead of its first job."""
+    judge's ends of its pipes. ``keep`` is its output cap, sent in the setup
+    frame ahead of its first job."""
 
-    def __init__(self, code: str | None, keep: int):
+    def __init__(self, keep: int):
         job_r, self.jobs = os.pipe()
         self.replies, reply_w = os.pipe()
         self.errors, err_w = os.pipe()
@@ -67,7 +69,7 @@ class _Harness:
                 os.close(fd)
         self.owner = os.getpid()
         self.closed = False
-        self.unsent = setup_frame(code, keep)
+        self.unsent = setup_frame(keep)
         for fd in (self.jobs, self.replies, self.errors):
             os.set_blocking(fd, False)
 
@@ -237,12 +239,13 @@ class LocalExecutor:
             if tag == "python":
                 # Run under the same interpreter that is running us.
                 run_cmd = [sys.executable if arg == "python3" else arg for arg in run_cmd]
-            # The harness's own interpreter and flags, given code with -c: the
-            # harness runs that code in a fork instead of starting an interpreter.
-            in_fork = len(run_cmd) > 4 and run_cmd[:4] == [sys.executable, "-I", "-S", "-c"]
-            code, argv = (run_cmd[4], run_cmd[5:]) if in_fork else (None, run_cmd)
+            # The harness's own interpreter and flags, given a file: the harness
+            # runs that file in a fork instead of starting an interpreter.
+            in_fork = (len(run_cmd) > 3 and run_cmd[:3] == [sys.executable, "-I", "-S"]
+                       and not run_cmd[3].startswith("-"))
+            argv = run_cmd[3:] if in_fork else run_cmd
 
-            results, ending = self._run_harness(code, argv, workdir, tests, time_limit_ms,
+            results, ending = self._run_harness(in_fork, argv, workdir, tests, time_limit_ms,
                                                 memory_limit_mb)
         per_test = [
             self._verdict(i, test, result, in_fork, time_limit_ms, memory_limit_mb, log_lines)
@@ -262,9 +265,13 @@ class LocalExecutor:
                  bin_path: Path, log_lines: list[str]) -> str | None:
         """Returns an error description on compile failure, else None."""
         if tag == "python":
-            # In-process syntax check: deterministic and cheap.
+            # In-process syntax check: deterministic and cheap. Its warnings are
+            # the candidate's, shown on the candidate's stderr when it runs, and
+            # no filter of the judge's may turn one into an error here.
             try:
-                compile(source, spec.source_name, "exec")
+                with _SYNTAX_CHECK_LOCK, warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    compile(source, spec.source_name, "exec", dont_inherit=True)
             except SyntaxError as exc:
                 message = f"compilation failed: {exc.__class__.__name__}: {exc.msg} (line {exc.lineno})"
                 log_lines.append(message)
@@ -287,18 +294,17 @@ class LocalExecutor:
             return message
         return None
 
-    def _run_harness(self, code: str | None, argv: list[str], workdir: str,
+    def _run_harness(self, in_fork: bool, argv: list[str], workdir: str,
                      tests: Sequence[TestCase], time_limit_ms: int,
                      memory_limit_mb: int) -> tuple[list[tuple], str | None]:
         """Runs every test on one harness. Returns one result tuple per test
         that got one, in order, and how the harness ended, if it did; a
         harness that ended early leaves no process of the test it was
         running."""
-        keep = self.config.max_output_bytes + 1
-        job = job_frame(workdir, code, argv, [test.input.encode("utf-8") for test in tests],
-                        time_limit_ms / 1000, memory_limit_mb * 1024 * 1024, keep)
+        job = job_frame(workdir, in_fork, argv, [test.input.encode("utf-8") for test in tests],
+                        time_limit_ms / 1000, memory_limit_mb * 1024 * 1024)
         timeout_s = len(tests) * time_limit_ms / 1000 + _HARNESS_SLACK_S
-        harness = self._harness(code, keep)
+        harness = self._harness()
         try:
             results, running, ending = harness.judge(job, len(tests), timeout_s)
         except BaseException:
@@ -313,8 +319,8 @@ class LocalExecutor:
                 pass
         return results, ending
 
-    def _harness(self, code: str | None, keep: int) -> _Harness:
-        """An idle harness of this process, or a new one set up for ``code``."""
+    def _harness(self) -> _Harness:
+        """An idle harness of this process, or a new one."""
         while True:
             try:
                 harness = self._idle.pop()
@@ -324,7 +330,7 @@ class LocalExecutor:
                 return harness
             harness.close()  # inherited by a fork: its spawner's to end
         try:
-            return _Harness(code, keep)
+            return _Harness(self.config.max_output_bytes + 1)
         except OSError as exc:
             raise SandboxError(f"failed to start the judge harness: {exc}") from exc
 

@@ -55,37 +55,13 @@ class LanguageSpec:
     source_name: str = "main.txt"
 
 
-# Runs the candidate file as ``python3 FILE`` would, in an interpreter started
-# with -I -S: no site-packages, so no .pth hook runs at every start-up, and no
-# environment or user paths. -S also drops the exit/quit builtins, so they are
-# bound to sys.exit. The recursion limit grows by the two frames that the
-# prelude puts below the candidate's own, and an uncaught exception is
-# reported without the prelude's frame, so deep recursion and runtime error
-# logs behave as for ``python3 FILE``. The executor str.formats every run_cmd
-# argument, so the prelude holds no braces.
-_PYTHON_PRELUDE = """\
-import builtins, sys
-builtins.exit = builtins.quit = sys.exit
-sys.setrecursionlimit(sys.getrecursionlimit() + 2)
-src = sys.argv[1]
-sys.argv = [src]
-main = sys.modules['__main__'] = type(sys)('__main__')
-main.__file__ = src
-with open(src, 'rb') as f:
-    code = compile(f.read(), src, 'exec')
-try:
-    exec(code, vars(main))
-except Exception as e:
-    e.__traceback__ = e.__traceback__.tb_next
-    sys.excepthook(type(e), e, e.__traceback__)
-    sys.exit(1)
-"""
-
-
 def _default_languages() -> dict[str, LanguageSpec]:
     return {
         "python": LanguageSpec(
-            run_cmd=("python3", "-I", "-S", "-c", _PYTHON_PRELUDE, "{src}"),
+            # -I -S: no site-packages, so no .pth hook runs at every start-up,
+            # and no environment or user paths. The judge runs this file in a
+            # fork of its harness, as python3 would.
+            run_cmd=("python3", "-I", "-S", "{src}"),
             compile_cmd=None,  # syntax-checked in-process by the executor
             source_name="main.py",
         ),

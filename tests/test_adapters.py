@@ -473,8 +473,10 @@ def executor_for(languages: dict) -> LocalExecutor:
     return LocalExecutor(config_from_mapping({"executor": {"languages": languages}}).executor)
 
 
-# The same program run by exec, not in a fork from the judge harness.
-EXEC_PYTHON = {"python": {"run_cmd": ["python3", "-I", "-S", "{src}"], "source_name": "main.py"}}
+# The same program run by exec, not in a fork from the judge harness: a flag
+# after -S makes the command one the harness does not run itself.
+EXEC_PYTHON = {"python": {"run_cmd": ["python3", "-I", "-S", "-B", "{src}"],
+                          "source_name": "main.py"}}
 
 
 class TestJudgeVerdicts:
@@ -613,20 +615,6 @@ class TestJudgeHarness:
             Verdict.PASSED, Verdict.WRONG_ANSWER, Verdict.RUNTIME_ERROR, Verdict.RUNTIME_ERROR]
         assert "judge harness ended after 2 of 4 tests" in outcome.logs
 
-    @pytest.mark.skipif(shutil.which("sh") is None, reason="needs a POSIX shell")
-    def test_a_job_keeps_output_to_its_own_cap_when_the_setup_gave_another(self, tmp_path):
-        from agentdag.adapters import _harness, sandbox
-
-        for keep in (9, 4, 11):
-            harness = sandbox._Harness(None, 4)
-            job = _harness.job_frame(str(tmp_path), None, ["sh", "-c", "echo 123456789"],
-                                     [b""], 4.0, 1 << 30, keep)
-            try:
-                outcome = harness.judge(job, 1, 10.0)
-            finally:
-                harness.close()
-            assert outcome == ([(0, b"123456789\n"[:keep], b"", False)], None, None)
-
     def test_a_harness_that_never_finishes_is_timed_out_by_the_judge(self, monkeypatch):
         from agentdag.adapters import sandbox
 
@@ -670,10 +658,10 @@ class TestHarnessWireFormat:
     def test_the_setup_is_read_back_ahead_of_the_jobs(self):
         from agentdag.adapters import _harness
 
-        job = ("workdir", "print(1)", ["a"], [b"1\n"], 0.5, 1 << 28, 65537)
-        for code in ("print(1)", None):
-            jobs = io.BytesIO(_harness.setup_frame(code, 65537) + _harness.job_frame(*job))
-            assert _harness.read_job(jobs) == (code, 65537)
+        for job in (("workdir", True, ["main.py"], [b"1\n"], 0.5, 1 << 28),
+                    ("workdir", False, ["sh", "main.sh"], [b"1\n"], 0.5, 1 << 28)):
+            jobs = io.BytesIO(_harness.setup_frame(65537) + _harness.job_frame(*job))
+            assert _harness.read_job(jobs) == 65537
             assert _harness.read_job(jobs) == job
             assert not _harness.read_job(jobs)
 
@@ -687,7 +675,7 @@ class TestHarnessWireFormat:
     def test_jobs_are_read_back_in_field_order_until_end_of_file(self):
         from agentdag.adapters import _harness
 
-        job = ("workdir", "print(1)", ["a"], [b"1\n", b""], 0.5, 1 << 28, 65537)
+        job = ("workdir", True, ["main.py", "a"], [b"1\n", b""], 0.5, 1 << 28)
         jobs = io.BytesIO(_harness.job_frame(*job) * 2 + _harness.job_frame(*job)[:-1])
         assert _harness.read_job(jobs) == job
         assert _harness.read_job(jobs) == job
@@ -905,44 +893,97 @@ class TestHarnessPool:
             assert harness_of(executor) == harness
 
 
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs procfs")
-class TestWarmedProgram:
-    """A harness compiles the in-fork code of the job that spawned it once; a
-    child compiles any other code itself, and so also code whose compile
-    raised or warned in the harness. Either way a program ends as under
-    ``python3 -I -S -c CODE main.py``."""
+class TestPythonInTheFork:
+    """Only ``python3 -I -S FILE ARGS...`` runs in a fork of the harness, and
+    there it ends as under ``python3 -I -S FILE``; any other command, a
+    configured ``-c CODE`` among them, is exec'd."""
+
+    @pytest.mark.parametrize("flags,forked", [((), True), (("-B",), False), (("-u",), False)])
+    def test_a_flag_after_dash_s_makes_the_command_execd(self, flags, forked):
+        executor = executor_for({"python": {"run_cmd": ["python3", "-I", "-S", *flags, "{src}"],
+                                            "source_name": "main.py"}})
+        forked_here = "import sys\nprint(any(a.endswith('_harness.py') for a in sys.orig_argv))\n"
+        assert judge_one(executor, forked_here).per_test[0].actual_prefix == f"{forked}\n"
 
     @pytest.mark.parametrize("code", [
         "import sys\nprint(len(sys.argv), sys.argv[1].endswith('main.py'), input(),\n"
-        "      file=sys.stderr)\nsys.exit(3)\n",
+        "      any(arg.endswith('_harness.py') for arg in sys.orig_argv), file=sys.stderr)\n"
+        "sys.exit(3)\n",
         "def broken(:\n",
         "import sys\nif sys.argv is 'x':\n    pass\nsys.exit(2)\n",
     ], ids=["valid", "syntax error", "syntax warning"])
-    def test_custom_in_fork_code_ends_as_under_the_interpreter(self, code, tmp_path):
+    def test_a_configured_dash_c_command_is_execd_and_ends_as_under_the_interpreter(
+            self, code, tmp_path):
         script = tmp_path / "main.py"
         script.write_text("print('unused')\n", encoding="utf-8")
         plain = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(script)],
                                input="a\n", capture_output=True, text=True, timeout=30)
         assert plain.returncode in (1, 2, 3) and plain.stderr
-        expected = f"test 0: runtime error (exit {plain.returncode}); stderr: {plain.stderr.strip()}"
         languages = {"alt": {"run_cmd": [sys.executable, "-I", "-S", "-c", code, "{src}"],
                              "source_name": "main.py"}}
-        config = config_from_mapping({"executor": {"workers": 1, "languages": languages}})
+        outcome = executor_for(languages).execute(
+            "print('unused')\n", "alt", [TestCase("a\n", "")], time_limit_ms=4000,
+            memory_limit_mb=256)
+        assert outcome.verdict is Verdict.RUNTIME_ERROR
+        assert outcome.logs == \
+            f"test 0: runtime error (exit {plain.returncode}); stderr: {plain.stderr.strip()}"
 
-        def judge(executor):
-            outcome = executor.execute("print('unused')\n", "alt", [TestCase("a\n", "")],
-                                       time_limit_ms=4000, memory_limit_mb=256)
-            assert outcome.verdict is Verdict.RUNTIME_ERROR
-            assert outcome.logs == expected
+    def test_exiting_on_a_caught_memory_error_is_memory_limit_exceeded(self):
+        source = ("import sys\n"
+                  "try:\n"
+                  "    x = bytearray(512 * 1024 * 1024)\n"
+                  "except MemoryError:\n"
+                  "    sys.exit(1)\n")
+        outcome = LocalExecutor().execute(source, "python", [TestCase("", "")],
+                                          time_limit_ms=4000, memory_limit_mb=64)
+        assert outcome.verdict is Verdict.MEMORY_LIMIT_EXCEEDED, outcome.logs
 
-        spawned_by_it = LocalExecutor(config.executor)
-        for _ in range(2):
-            judge(spawned_by_it)
-        warmed_with_another = LocalExecutor(config.executor)
-        harness = harness_of(warmed_with_another)
-        for _ in range(2):
-            judge(warmed_with_another)
-        assert harness_of(warmed_with_another) == harness
+    def test_the_harness_compiler_flags_never_reach_the_program(self, tmp_path):
+        source = "def f(x: undefined_name):\n    pass\nprint('defined')\n"
+        script = tmp_path / "main.py"
+        script.write_text(source, encoding="utf-8")
+        plain = subprocess.run([sys.executable, "-I", "-S", str(script)], capture_output=True,
+                               text=True, timeout=30)
+        assert plain.returncode == 1
+        assert plain.stderr.strip().endswith("NameError: name 'undefined_name' is not defined")
+        outcome = judge_one(LocalExecutor(), source)
+        assert outcome.verdict is Verdict.RUNTIME_ERROR
+        assert outcome.logs.endswith("NameError: name 'undefined_name' is not defined")
+
+
+class TestPythonSyntaxCheck:
+    """The judge's in-process syntax check compiles a candidate as the
+    interpreter would, and keeps what it shows to the candidate."""
+
+    def test_a_syntax_warning_stays_off_the_judges_stderr_and_is_no_error(self, capfd):
+        # In a process of its own: pytest records the warnings of its tests.
+        source = "x = input()\nif x is 'a':\n    print(1)\nprint(2)\n"
+        test = TestCase("b\n", "2\n")
+        script = (
+            "import warnings\n"
+            "from agentdag.adapters import LocalExecutor\n"
+            "from agentdag.problem import TestCase\n"
+            "def judge():\n"
+            f"    return LocalExecutor().execute({source!r}, 'python', [{test!r}],\n"
+            "        time_limit_ms=4000, memory_limit_mb=256).verdict.value\n"
+            "shown = judge()\n"
+            "with warnings.catch_warnings():\n"
+            "    warnings.simplefilter('error')\n"
+            "    print(shown, judge())\n"
+        )
+        src_root = str(Path(agentdag.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script],
+                              env=dict(os.environ, PYTHONPATH=src_root), timeout=60)
+        out, err = capfd.readouterr()
+        assert proc.returncode == 0, err
+        assert (out, err) == ("PASSED PASSED\n", "")
+
+    def test_the_judges_future_imports_never_reach_the_check(self):
+        # A named expression in an annotation is an error only under postponed annotations.
+        outcome = LocalExecutor().execute(
+            "def f() -> (x := int):\n    pass\nprint(x.__name__)\n", "python",
+            [TestCase("", "int\n")], time_limit_ms=4000, memory_limit_mb=256)
+        assert outcome.verdict is Verdict.PASSED, outcome.logs
 
 
 @pytest.mark.skipif(shutil.which("sh") is None, reason="needs a POSIX shell")

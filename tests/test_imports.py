@@ -170,7 +170,9 @@ def test_the_sandbox_reaches_subprocess_only_through_run_and_timeout_expired():
 # ``enum``; ``random`` would be seeded once and give every test the same
 # stream. ``_signal`` is the builtin under ``signal``; the harness uses it
 # only to restore default signal handling before it execs a command.
-HARNESS_IMPORTS = {"marshal", "os", "resource", "select", "sys", "time", "_signal"}
+# ``builtins``, loaded in every interpreter before any code runs, is where it
+# binds ``exit`` and ``quit``.
+HARNESS_IMPORTS = {"builtins", "marshal", "os", "resource", "select", "sys", "time", "_signal"}
 
 
 def test_the_judge_harness_imports_only_light_modules():
