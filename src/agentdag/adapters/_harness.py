@@ -5,35 +5,56 @@ Both ways it speaks in frames, a marshalled value after its size in 8
 little-endian bytes, spelled out only here: the judge writes a setup with
 ``setup_frame`` and jobs with ``job_frame``, the harness writes results with
 ``result_frame``, and the judge splits replies with ``split_replies``. The
-setup, read first from stdin, is the output cap ``keep``.
+setup, read first from stdin, is the output cap ``keep``. A job is the frame
+``(workdir, in_fork, argv, input sizes, limit_s, limit_as)``, then the inputs, raw.
 
-For each input of a job ``(workdir, in_fork, argv, inputs, limit_s,
-limit_as)``, the harness forks a child that moves to ``workdir`` and leads a
-session of its own under RLIMIT_AS. With ``in_fork`` set, a child runs the
-Python file ``argv[0]`` itself with ``sys.argv = argv``, as ``python3 -I -S
-*argv`` would; otherwise it execs ``argv``. The harness feeds the child's
-stdin, reads its stdout and stderr into buffers of ``keep`` bytes allocated
-at start-up, so that no output grows its heap, throws away what does not fit,
-and kills its process group when it exits or its time is up. It replies on
-stdout with ``("pid", pid)`` once a child is forked, then ``("result", (exit
-code or None on timeout, stdout size, stderr size, ended by an uncaught
-MemoryError))`` followed by the kept bytes of stdout and of stderr, raw, or
-``("error", why)`` when the child could not start, which ends the job. Every
-job ends with ``("end", retiring)``; a harness whose address-space size is no
-longer the one it had when it became ready retires, so that every test starts
-from the footprint of a fresh harness. It exits at end of file on stdin. Its
-imports are kept light (no signal, which pulls in enum), and it never touches
-sys.stdin or sys.stdout, so a child inherits them unread and unwritten.
+For each input, the harness moves its bytes from stdin into an unlinked memfd
+with ``splice``, never through its heap, and forks a child that takes that
+file as its stdin, moves to ``workdir`` and leads a session of its own under
+RLIMIT_AS. With ``in_fork`` set, a child runs the Python file ``argv[0]``
+itself with ``sys.argv = argv``, as ``python3 -I -S *argv`` would; otherwise
+it execs ``argv``. The harness reads the child's stdout and stderr into
+buffers of ``keep`` bytes allocated at start-up, so that no output grows its
+heap, throws away what does not fit, and kills its process group when it
+exits or its time is up. It replies on stdout with ``("pid", pid)`` once a
+child is forked, then ``("result", (exit code or None on timeout, stdout
+size, stderr size, ended by an uncaught MemoryError))`` followed by the kept
+bytes of stdout and of stderr, raw, or ``("error", why)`` when the child
+could not start, after which it exits. A job ends at its last result. The
+harness exits at end of file on stdin. Its imports are kept light (no signal,
+which pulls in enum), and it never touches sys.stdin or sys.stdout, so a
+child inherits them unread and unwritten.
 """
 
 import _signal, builtins, marshal, os, resource, select, sys, time
 
 
-def read_job(jobs):
-    # False at end of file; a buffered read blocks until it has all it asked for.
-    size = int.from_bytes(jobs.read(8), "little")
-    data = jobs.read(size)
+def read_exact(fd, size):
+    # Fewer bytes only at end of file, and never more: an input follows a job's frame.
+    data = b""
+    while len(data) < size and (chunk := os.read(fd, size - len(data))):
+        data += chunk
+    return data
+
+
+def read_frame(fd):
+    # False at end of file.
+    size = int.from_bytes(read_exact(fd, 8), "little")
+    data = read_exact(fd, size)
     return len(data) == size > 0 and marshal.loads(data)
+
+
+def read_input(fd, size):
+    # An unlinked file, read from its start, that holds the next ``size``
+    # bytes of the pipe ``fd``; the kernel moves them. None at end of file.
+    stdin = os.memfd_create("stdin")
+    while size and (moved := os.splice(fd, stdin, size)):
+        size -= moved
+    if size:
+        os.close(stdin)
+        return None
+    os.lseek(stdin, 0, os.SEEK_SET)
+    return stdin
 
 
 def frame(value):
@@ -46,7 +67,8 @@ def setup_frame(keep):
 
 
 def job_frame(workdir, in_fork, argv, inputs, limit_s, limit_as):
-    return frame((workdir, in_fork, argv, inputs, limit_s, limit_as))
+    sizes = [len(data) for data in inputs]
+    return frame((workdir, in_fork, argv, sizes, limit_s, limit_as)) + b"".join(inputs)
 
 
 def split_replies(buffer):
@@ -84,12 +106,6 @@ def send(*chunks):
             views[0] = views[0][written:]
 
 
-def footprint():
-    # The address-space size, in pages, that a child forked now would start with.
-    with open("/proc/self/statm", "rb", buffering=0) as statm:
-        return int(statm.read(64).split()[0])
-
-
 def exit_status(code):
     # As the interpreter reads the code of an uncaught SystemExit.
     if code is None:
@@ -125,15 +141,15 @@ def finish(status):
     return status
 
 
-def child(workdir, in_fork, argv, limit_as, in_r, out_w, err_w, report_w, others):
+def child(workdir, in_fork, argv, limit_as, stdin, out_w, err_w, report_w, others):
     try:
         os.chdir(workdir)
         os.setsid()
         resource.setrlimit(resource.RLIMIT_AS, (limit_as, limit_as))
-        os.dup2(in_r, 0)
+        os.dup2(stdin, 0)
         os.dup2(out_w, 1)
         os.dup2(err_w, 2)
-        for fd in (in_r, out_w, err_w, *others):
+        for fd in (stdin, out_w, err_w, *others):
             os.close(fd)
         if not in_fork:
             for signum in (_signal.SIGPIPE, _signal.SIGXFSZ):
@@ -149,6 +165,8 @@ def child(workdir, in_fork, argv, limit_as, in_r, out_w, err_w, report_w, others
         sys.argv = argv
         module = sys.modules["__main__"] = type(sys)("__main__")
         module.__file__ = argv[0]
+        # As in a plain script; a function made from the program takes its builtins from here.
+        module.__builtins__ = builtins
         # The frames of this module and of this function sit below the program's own.
         sys.setrecursionlimit(sys.getrecursionlimit() + 2)
         memory_error = False
@@ -156,7 +174,9 @@ def child(workdir, in_fork, argv, limit_as, in_r, out_w, err_w, report_w, others
             with open(argv[0], "rb") as source:
                 # Not this module's compiler flags, which a future import here would set.
                 program = compile(source.read(), argv[0], "exec", dont_inherit=True)
-            exec(program, vars(module))
+            # Called as a function, not through exec(), whose C call takes a
+            # recursion slot or not as this function happens to be specialized.
+            type(finish)(program, vars(module))()
             status = 0
         except SystemExit as exc:
             status = exit_status(exc.code)
@@ -174,13 +194,12 @@ def child(workdir, in_fork, argv, limit_as, in_r, out_w, err_w, report_w, others
         os._exit(status)
 
 
-def supervise(pid, deadline, data, in_w, outputs, spill):
+def supervise(pid, deadline, outputs, spill):
     # Returns the exit code, or None on timeout, and how much of each output
     # fits its buffer; the rest of each goes to ``spill``, to be overwritten.
     pidfd = os.pidfd_open(pid)
     kept = dict.fromkeys(outputs, 0)
     readers = [*outputs, pidfd]
-    pending = memoryview(data)
     timed_out = False
 
     def take(fd):
@@ -190,26 +209,15 @@ def supervise(pid, deadline, data, in_w, outputs, spill):
         return size > 0
 
     while True:
-        if not pending and in_w is not None:
-            os.close(in_w)
-            in_w = None
         # Checked on every pass: a flood of output keeps select() busy.
         left = deadline - time.monotonic()
         if left <= 0:
             timed_out = True
             break
-        writers = [] if in_w is None else [in_w]
-        readable, writable, _ = select.select(readers, writers, [], left)
+        readable, _, _ = select.select(readers, [], [], left)
         for fd in readable:
             if fd != pidfd and not take(fd):
                 readers.remove(fd)
-        if writable:
-            try:
-                pending = pending[os.write(in_w, pending):]
-            except BlockingIOError:
-                pass
-            except BrokenPipeError:
-                pending = pending[:0]
         if pidfd in readable:
             break
     try:
@@ -227,8 +235,6 @@ def supervise(pid, deadline, data, in_w, outputs, spill):
     _, status = os.waitpid(pid, 0)
     for fd in (pidfd, *outputs):
         os.close(fd)
-    if in_w is not None:
-        os.close(in_w)
     returncode = None if timed_out else os.waitstatus_to_exitcode(status)
     return returncode, *kept.values()
 
@@ -240,34 +246,33 @@ def main():
     compile("", "<harness>", "exec")
     # As site binds them for ``python3 FILE``; -S leaves them out.
     builtins.exit = builtins.quit = sys.exit
-    jobs = open(0, "rb", closefd=False)
-    keep = read_job(jobs) or 1
+    keep = read_frame(0) or 1
     # Output is read into these and sent from them, so no test's output grows the heap.
     out, err, spill = bytearray(keep), bytearray(keep), bytearray(65536)
     # Enough live containers for the collector to move what start-up made into its oldest
     # generation, where the collections a test makes never walk, and so copy, its pages.
     [[] for _ in range(10000)]
-    ready = footprint()
-    while job := read_job(jobs):
-        workdir, in_fork, argv, inputs, limit_s, limit_as = job
-        for data in inputs:
-            in_r, in_w = os.pipe()
+    while job := read_frame(0):
+        workdir, in_fork, argv, sizes, limit_s, limit_as = job
+        for size in sizes:
+            stdin = read_input(0, size)
+            if stdin is None:
+                return
             out_r, out_w = os.pipe()
             err_r, err_w = os.pipe()
             report_r, report_w = os.pipe()
-            for fd in (in_w, out_r, err_r, report_r):
+            for fd in (out_r, err_r, report_r):
                 os.set_blocking(fd, False)
             deadline = time.monotonic() + limit_s
             pid = os.fork()
             if pid == 0:
-                yield (workdir, in_fork, argv, limit_as, in_r, out_w, err_w, report_w,
-                       (in_w, out_r, err_r, report_r))
-            for fd in (in_r, out_w, err_w, report_w):
+                yield (workdir, in_fork, argv, limit_as, stdin, out_w, err_w, report_w,
+                       (out_r, err_r, report_r))
+            for fd in (stdin, out_w, err_w, report_w):
                 os.close(fd)
             send(frame(("pid", pid)))
             returncode, n_out, n_err = supervise(
-                pid, deadline, data, in_w, {out_r: memoryview(out), err_r: memoryview(err)},
-                spill)
+                pid, deadline, {out_r: memoryview(out), err_r: memoryview(err)}, spill)
             try:
                 report = spill[:os.readv(report_r, [spill])]
             except BlockingIOError:  # held open by a process that escaped the group
@@ -275,19 +280,12 @@ def main():
             os.close(report_r)
             if report.startswith(b"!"):
                 send(frame(("error", report[1:].decode("utf-8", "replace"))))
-                break
+                return
             send(*result_frame(returncode, memoryview(out)[:n_out], memoryview(err)[:n_err],
                                report == b"M"))
-        # Dropped before the footprint is taken: a job's inputs may have grown
-        # the heap, and every later child would start with the growth.
-        job = inputs = data = None
-        retiring = footprint() != ready
-        send(frame(("end", retiring)))
-        if retiring:
-            break
-    os._exit(0)
 
 
 if __name__ == "__main__":
     for forked in main():
         child(*forked)
+    os._exit(0)

@@ -80,9 +80,9 @@ class _Harness:
 
         Returns the results in order, the pid of a child left without one,
         and None, or how the harness ended when it died, ran out of time or
-        wrote a frame out of step. A harness that ended or retires is closed;
-        one that could not launch the program is closed and raises. No wait
-        outlasts the timeout.
+        wrote a frame out of step. A harness that ended is closed; one that
+        could not launch the program is closed and raises. No wait outlasts
+        the timeout.
         """
         deadline = time.monotonic() + timeout_s
         pending = memoryview(self.unsent + job)
@@ -116,7 +116,7 @@ class _Harness:
                 return results, running, self._ended()
             buffer += chunk
             for tag, payload in split_replies(buffer):
-                if tag == "pid" and running is None:
+                if tag == "pid" and running is None and len(results) < count:
                     running = payload
                 elif tag == "result" and running is not None:
                     results.append(payload)
@@ -124,14 +124,11 @@ class _Harness:
                 elif tag == "error":
                     self.close()
                     raise SandboxError(f"failed to launch candidate program: {payload}")
-                elif tag == "end" and running is None and len(results) == count \
-                        and not buffer:
-                    if payload:  # it retires
-                        self.close()
-                    return results, None, None
                 else:
                     self.close()
                     return results, running, "wrote a frame out of step"
+            if len(results) == count and not buffer:
+                return results, None, None
 
     def _ended(self) -> str:
         """Reaps a harness that closed its stdout and says how it ended."""

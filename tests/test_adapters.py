@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import ast
+import contextlib
+import fcntl
 import gc
-import io
+import hashlib
 import itertools
 import json
 import os
@@ -14,6 +16,7 @@ import shutil
 import socket
 import subprocess
 import sys
+import termios
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
@@ -315,24 +318,25 @@ class TestJudgeIsolation:
     """Output bounds, leftover processes, and what a candidate sees."""
 
     def test_flooding_program_keeps_the_judge_memory_bounded(self):
-        # The judge runs in a child interpreter, so its peak RSS is its own.
+        # The judge runs in a child interpreter and reads its own peak RSS from
+        # its address space: ru_maxrss would also count the pytest process's
+        # peak, which a child spawned by vfork and exec inherits.
         script = (
-            "import resource\n"
             "from agentdag.adapters import LocalExecutor\n"
             "from agentdag.problem import TestCase\n"
             "flood = 'import sys\\nwhile True:\\n    sys.stdout.write(\"x\" * 65536)\\n'\n"
             "outcome = LocalExecutor().execute(flood, 'python', [TestCase('', '')],\n"
             "                                  time_limit_ms=300, memory_limit_mb=256)\n"
             "print(outcome.verdict.value,\n"
-            "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+            "      open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
         )
         src_root = str(Path(agentdag.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=dict(os.environ, PYTHONPATH=src_root), timeout=60)
         assert proc.returncode == 0, proc.stderr
-        verdict, max_rss_kb = proc.stdout.split()
+        verdict, peak_rss_kb = proc.stdout.split()
         assert verdict == "TIME_LIMIT_EXCEEDED"
-        assert int(max_rss_kb) < 100 * 1024
+        assert int(peak_rss_kb) < 100 * 1024
 
     def test_output_past_the_cap_is_clipped_and_does_not_block(self):
         executor = LocalExecutor(ExecutorConfig(max_output_bytes=1000))
@@ -416,9 +420,10 @@ class TestDefaultPythonCommand:
     def test_runs_as_main_with_the_source_as_argv0(self):
         source = ("import sys\n"
                   "print(__name__, sys.argv == [__file__], sys.argv[0].endswith('main.py'))\n"
-                  "import __main__\n"
-                  "print(__main__.__name__, __main__.__file__ == __file__)\n")
-        outcome = self.judge(source, expected="__main__ True True\n__main__ True\n")
+                  "import __main__, builtins\n"
+                  "print(__main__.__name__, __main__.__file__ == __file__,\n"
+                  "      __builtins__ is builtins)\n")
+        outcome = self.judge(source, expected="__main__ True True\n__main__ True True\n")
         assert outcome.verdict is Verdict.PASSED, outcome.per_test[0].actual_prefix
 
     def test_recursion_reaches_as_deep_as_in_a_plain_script(self, tmp_path):
@@ -571,6 +576,24 @@ class TestJudgeHarness:
         outcome = self.judge(source, [data], expected=f"{len(data)} 100000\n")
         assert outcome.verdict is Verdict.PASSED, outcome.logs
 
+    def test_each_test_gets_exactly_its_own_input_whether_or_not_it_reads_it(self):
+        # Inputs of 1 MB each; a test whose input starts with "i" ignores the
+        # rest of it, and the others print a digest of theirs.
+        source = ("import hashlib, os, sys\n"
+                  "first = os.read(0, 1)\n"
+                  "if first == b'i':\n"
+                  "    print('ignored')\n"
+                  "else:\n"
+                  "    print(hashlib.sha256(first + sys.stdin.buffer.read()).hexdigest())\n")
+        rng = random.Random(20)
+        stdins = ["ie"[i % 2] + rng.randbytes(1 << 19).hex() for i in range(6)]
+        tests = [TestCase(input=stdin, expected_output="ignored\n" if stdin[0] == "i" else
+                          hashlib.sha256(stdin.encode()).hexdigest() + "\n")
+                 for stdin in stdins]
+        outcome = LocalExecutor().execute(source, "python", tests, time_limit_ms=4000,
+                                          memory_limit_mb=256)
+        assert [t.status for t in outcome.per_test] == [Verdict.PASSED] * 6, outcome.logs
+
     def test_each_test_draws_its_own_random_stream(self):
         outcome = self.judge("import random\nprint(random.random())\n", ["", ""])
         first, second = (t.actual_prefix for t in outcome.per_test)
@@ -642,8 +665,7 @@ class TestHarnessWireFormat:
         output = b"x" * size
         results = [(0, output, b"", False) if stream == "stdout" else (0, b"", output, False),
                    (None, b"7\n", b"Traceback\n", True)]
-        replies = [("pid", 4242), *(("result", result) for result in results),
-                   ("error", "why"), ("end", False)]
+        replies = [("pid", 4242), *(("result", result) for result in results), ("error", "why")]
         data = b"".join(chunk for tag, payload in replies for chunk in (
             _harness.result_frame(*payload) if tag == "result" else [_harness.frame((tag, payload))]))
         view = memoryview(data)
@@ -660,26 +682,81 @@ class TestHarnessWireFormat:
 
         for job in (("workdir", True, ["main.py"], [b"1\n"], 0.5, 1 << 28),
                     ("workdir", False, ["sh", "main.sh"], [b"1\n"], 0.5, 1 << 28)):
-            jobs = io.BytesIO(_harness.setup_frame(65537) + _harness.job_frame(*job))
-            assert _harness.read_job(jobs) == 65537
-            assert _harness.read_job(jobs) == job
-            assert not _harness.read_job(jobs)
+            with fed_pipe([_harness.setup_frame(65537), _harness.job_frame(*job)]) as jobs:
+                assert _harness.read_frame(jobs) == 65537
+                assert read_job(jobs) == job
+                assert not _harness.read_frame(jobs)
 
     def test_a_frame_that_does_not_decode_is_taken_off_as_none(self):
         from agentdag.adapters import _harness
 
         junk = b"\xff\xfe"
-        buffer = bytearray(len(junk).to_bytes(8, "little") + junk + _harness.frame(("end", True)))
-        assert list(_harness.split_replies(buffer)) == [(None, None), ("end", True)]
+        buffer = bytearray(len(junk).to_bytes(8, "little") + junk + _harness.frame(("pid", 7)))
+        assert list(_harness.split_replies(buffer)) == [(None, None), ("pid", 7)]
 
     def test_jobs_are_read_back_in_field_order_until_end_of_file(self):
         from agentdag.adapters import _harness
 
-        job = ("workdir", True, ["main.py", "a"], [b"1\n", b""], 0.5, 1 << 28)
-        jobs = io.BytesIO(_harness.job_frame(*job) * 2 + _harness.job_frame(*job)[:-1])
-        assert _harness.read_job(jobs) == job
-        assert _harness.read_job(jobs) == job
-        assert not _harness.read_job(jobs)  # a torn frame reads as end of file
+        job = ("workdir", True, ["main.py", "a"], [b"", b"1", bytes(range(256)) * 257],
+               0.5, 1 << 28)
+        data = _harness.job_frame(*job)
+        assert len(job[3][2]) > 64 * 1024  # more than a pipe holds
+        view = memoryview(data)
+        halves = [half for cut in range(len(data) + 1) for half in (view[:cut], view[cut:])]
+        with fed_pipe([*halves, *(view[i:i + 1] for i in range(len(data)))]) as jobs:
+            for _ in range(len(data) + 2):
+                assert read_job(jobs) == job
+            assert not read_job(jobs)
+        head = len(data) - sum(map(len, job[3]))
+        for cut in (0, 5, head - 1, head + 1, len(data) - 1):
+            with fed_pipe([view[:cut]]) as jobs:
+                assert not read_job(jobs)  # a torn frame reads as end of file
+
+
+@contextlib.contextmanager
+def fed_pipe(chunks):
+    """The read end of a pipe that a forked writer fills with ``chunks``, each
+    written only once the pipe is empty, so that a reader gets each chunk
+    apart from the next; the writer closes the pipe after the last."""
+    read_end, write_end = os.pipe()
+    empty = bytes(4)
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_end)
+            for chunk in chunks:
+                while fcntl.ioctl(write_end, termios.FIONREAD, empty) != empty:
+                    os.sched_yield()
+                while chunk:
+                    chunk = chunk[os.write(write_end, chunk):]
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    try:
+        yield read_end
+    finally:
+        os.close(read_end)
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+
+
+def read_job(fd: int):
+    """The next job on ``fd``, read as the harness reads it, with each input's
+    bytes in place of its size; false at end of file."""
+    from agentdag.adapters import _harness
+
+    head = _harness.read_frame(fd)
+    if not head:
+        return head
+    workdir, in_fork, argv, sizes, limit_s, limit_as = head
+    inputs = []
+    for size in sizes:
+        stdin = _harness.read_input(fd, size)
+        if stdin is None:
+            return None
+        with open(stdin, "rb") as file:
+            inputs.append(file.read())
+    return workdir, in_fork, argv, inputs, limit_s, limit_as
 
 
 def process_state(pid: int) -> str | None:
@@ -865,13 +942,28 @@ class TestHarnessPool:
     def test_a_large_job_leaves_no_footprint_on_later_candidates(self):
         fresh = int(judge_one(LocalExecutor(), PRINT_VMSIZE).per_test[0].actual_prefix)
         executor = LocalExecutor(ExecutorConfig(workers=1))
-        big = "x" * (3 << 20)
-        outcome = executor.execute("print(len(input()))", "python",
-                                   [TestCase(input=big, expected_output=f"{len(big)}\n")] * 5,
-                                   time_limit_ms=4000, memory_limit_mb=256)
-        assert outcome.verdict is Verdict.PASSED, outcome.logs
+        harness = harness_of(executor)
+        for size, count in ((3 << 20, 5), (100_000, 10)):
+            big = "x" * size
+            outcome = executor.execute("print(len(input()))", "python",
+                                       [TestCase(input=big, expected_output=f"{size}\n")] * count,
+                                       time_limit_ms=4000, memory_limit_mb=256)
+            assert outcome.verdict is Verdict.PASSED, outcome.logs
         after = int(judge_one(executor, PRINT_VMSIZE).per_test[0].actual_prefix)
         assert after <= fresh + 512
+        assert harness_of(executor) == harness
+
+    def test_a_test_starts_without_the_other_tests_inputs(self):
+        executor = LocalExecutor(ExecutorConfig(workers=1))
+
+        def sizes(stdin: str) -> list[int]:
+            outcome = executor.execute(PRINT_VMSIZE, "python", [TestCase(stdin, "")] * 3,
+                                       time_limit_ms=4000, memory_limit_mb=256)
+            return [int(test.actual_prefix) for test in outcome.per_test]
+
+        small, large = sizes("x" * 9 + "\n"), sizes("x" * (4 << 20))
+        page_kb = os.sysconf("SC_PAGE_SIZE") // 1024
+        assert max(small + large) - min(small + large) <= page_kb, (small, large)
 
     @pytest.mark.parametrize("source,expected", [
         ("print('\\n'.join(str(i * i) for i in range(3200)))\n",  # about 25 KB
