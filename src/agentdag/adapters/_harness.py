@@ -18,12 +18,14 @@ buffers of ``keep`` bytes allocated at start-up, so that no output grows its
 heap, throws away what does not fit, and kills its process group when it
 exits or its time is up. It replies on stdout with ``("pid", pid)`` once a
 child is forked, then ``("result", (exit code or None on timeout, stdout
-size, stderr size, ended by an uncaught MemoryError))`` followed by the kept
-bytes of stdout and of stderr, raw, or ``("error", why)`` when the child
-could not start, after which it exits. A job ends at its last result. The
-harness exits at end of file on stdin. Its imports are kept light (no signal,
-which pulls in enum), and it never touches sys.stdin or sys.stdout, so a
-child inherits them unread and unwritten.
+size, stderr size, report))`` followed by the kept bytes of stdout and of
+stderr, raw, or ``("error", why)`` when the child could not start, after
+which it exits. The report is "", "M" after a MemoryError, or "C" and the
+error when ``argv[0]`` does not compile. A job ends at its last result or
+at a "C" one, whose other inputs are read, not run. The harness exits at
+end of file on stdin. Its imports are kept light (no signal, which pulls in
+enum), and it never touches sys.stdin or sys.stdout, so a child inherits
+them unread and unwritten.
 """
 
 import _signal, builtins, marshal, os, resource, select, sys, time
@@ -79,11 +81,11 @@ def split_replies(buffer):
         try:
             tag, payload = marshal.loads(buffer[8:end])
             if tag == "result":
-                returncode, out, err, memory_error = payload
+                returncode, out, err, report = payload
                 if len(buffer) < end + out + err:
                     return
                 payload = (returncode, bytes(buffer[end:end + out]),
-                           bytes(buffer[end + out:end + out + err]), memory_error)
+                           bytes(buffer[end + out:end + out + err]), report)
                 end += out + err
         except (EOFError, ValueError, TypeError):
             tag = payload = None
@@ -91,9 +93,9 @@ def split_replies(buffer):
         yield tag, payload
 
 
-def result_frame(returncode, out, err, memory_error):
+def result_frame(returncode, out, err, report):
     # A result's frame holds the sizes of its outputs; their bytes follow it as they are.
-    return frame(("result", (returncode, len(out), len(err), memory_error))), out, err
+    return frame(("result", (returncode, len(out), len(err), report))), out, err
 
 
 def send(*chunks):
@@ -170,6 +172,7 @@ def child(workdir, in_fork, argv, limit_as, stdin, out_w, err_w, report_w, other
         # The frames of this module and of this function sit below the program's own.
         sys.setrecursionlimit(sys.getrecursionlimit() + 2)
         memory_error = False
+        program = None
         try:
             with open(argv[0], "rb") as source:
                 # Not this module's compiler flags, which a future import here would set.
@@ -187,6 +190,9 @@ def child(workdir, in_fork, argv, limit_as, stdin, out_w, err_w, report_w, other
             exc.__traceback__ = exc.__traceback__.tb_next
             sys.excepthook(type(exc), exc, exc.__traceback__)
             memory_error = isinstance(exc, MemoryError)
+            if program is None and isinstance(exc, SyntaxError):  # the compile's own
+                report = f"C{type(exc).__name__}: {exc.msg} (line {exc.lineno})"
+                os.write(report_w, report.encode("utf-8", "replace"))
         status = finish(status)
         if memory_error:
             os.write(report_w, b"M")
@@ -254,10 +260,14 @@ def main():
     [[] for _ in range(10000)]
     while job := read_frame(0):
         workdir, in_fork, argv, sizes, limit_s, limit_as = job
+        report = b""
         for size in sizes:
             stdin = read_input(0, size)
             if stdin is None:
                 return
+            if report.startswith(b"C"):  # the program does not compile: no test runs it
+                os.close(stdin)
+                continue
             out_r, out_w = os.pipe()
             err_r, err_w = os.pipe()
             report_r, report_w = os.pipe()
@@ -282,7 +292,7 @@ def main():
                 send(frame(("error", report[1:].decode("utf-8", "replace"))))
                 return
             send(*result_frame(returncode, memoryview(out)[:n_out], memoryview(err)[:n_err],
-                               report == b"M"))
+                               report.decode("utf-8", "replace")))
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ import sys
 import tempfile
 import threading
 import time
-import warnings
 import weakref
 from pathlib import Path
 from typing import Sequence
@@ -28,8 +27,6 @@ _HARNESS_SLACK_S = 5.0
 # The only variables that candidates and compilers see of the caller's
 # environment; API keys and PYTHONPATH stay behind.
 _ENV_KEYS = ("PATH", "LANG")
-# warnings.catch_warnings swaps process-wide state; one syntax check at a time.
-_SYNTAX_CHECK_LOCK = threading.Lock()
 
 
 def _clip(text: str, limit: int) -> str:
@@ -76,7 +73,8 @@ class _Harness:
     def judge(self, job: bytes, count: int,
               timeout_s: float) -> tuple[list[tuple], int | None, str | None]:
         """Sends one job of ``count`` tests, after the setup if it is the
-        first, and reads its frames.
+        first, and reads its frames; the job ends early at a result that
+        reports a compile failure.
 
         Returns the results in order, the pid of a child left without one,
         and None, or how the harness ended when it died, ran out of time or
@@ -95,6 +93,9 @@ class _Harness:
         poller.register(self.replies, select.POLLIN)
         poller.register(self.jobs, select.POLLOUT)
         while True:
+            # A job cut short by a compile failure still goes out whole: the harness reads it all.
+            if len(results) == count and not buffer and not pending:
+                return results, None, None
             left = deadline - time.monotonic()
             if left <= 0:
                 self.close()
@@ -121,14 +122,14 @@ class _Harness:
                 elif tag == "result" and running is not None:
                     results.append(payload)
                     running = None
+                    if payload[3].startswith("C"):  # the program does not compile
+                        count = len(results)
                 elif tag == "error":
                     self.close()
                     raise SandboxError(f"failed to launch candidate program: {payload}")
                 else:
                     self.close()
                     return results, running, "wrote a frame out of step"
-            if len(results) == count and not buffer:
-                return results, None, None
 
     def _ended(self) -> str:
         """Reaps a harness that closed its stdout and says how it ended."""
@@ -203,7 +204,8 @@ class LocalExecutor:
         tag = language or self.config.default_language
         spec = self.config.languages.get(tag)
         if spec is None:
-            raise SandboxError(f"no toolchain configured for language {tag!r}")
+            return ExecOutcome.compilation_error(
+                len(tests), f"no toolchain configured for language {tag!r}")
 
         with self._workers:
             return self._judge(source, tag, spec, tests, time_limit_ms, memory_limit_mb)
@@ -212,23 +214,15 @@ class LocalExecutor:
 
     def _judge(self, source: str, tag: str, spec: LanguageSpec, tests: Sequence[TestCase],
                time_limit_ms: int, memory_limit_mb: int) -> ExecOutcome:
-        log_lines: list[str] = []
         with tempfile.TemporaryDirectory(prefix="agentdag-judge-") as workdir:
             src_path = Path(workdir) / spec.source_name
-            src_path.write_text(source, encoding="utf-8")
+            # A lone surrogate goes to the file as bytes that fail the compile.
+            src_path.write_text(source, encoding="utf-8", errors="surrogatepass")
             bin_path = Path(workdir) / "program"
 
-            compile_error = self._compile(source, tag, spec, src_path, bin_path, log_lines)
+            compile_error = self._compile(tag, spec, src_path, bin_path)
             if compile_error is not None:
-                per_test = tuple(
-                    TestResult(index=i, status=Verdict.COMPILATION_ERROR)
-                    for i in range(len(tests))
-                )
-                return ExecOutcome(
-                    verdict=Verdict.COMPILATION_ERROR,
-                    per_test=per_test,
-                    logs="\n".join(log_lines),
-                )
+                return ExecOutcome.compilation_error(len(tests), compile_error)
 
             run_cmd = [
                 arg.format(src=str(src_path), bin=str(bin_path)) for arg in spec.run_cmd
@@ -244,6 +238,10 @@ class LocalExecutor:
 
             results, ending = self._run_harness(in_fork, argv, workdir, tests, time_limit_ms,
                                                 memory_limit_mb)
+        if results and results[-1][3].startswith("C"):  # the fork's compile failed
+            return ExecOutcome.compilation_error(
+                len(tests), f"compilation failed: {results[-1][3][1:]}")
+        log_lines: list[str] = []
         per_test = [
             self._verdict(i, test, result, in_fork, time_limit_ms, memory_limit_mb, log_lines)
             for i, (test, result) in enumerate(zip(tests, results))
@@ -258,22 +256,8 @@ class LocalExecutor:
             log_lines.append(f"all {len(tests)} tests passed")
         return ExecOutcome(verdict=verdict, per_test=tuple(per_test), logs="\n".join(log_lines))
 
-    def _compile(self, source: str, tag: str, spec: LanguageSpec, src_path: Path,
-                 bin_path: Path, log_lines: list[str]) -> str | None:
-        """Returns an error description on compile failure, else None."""
-        if tag == "python":
-            # In-process syntax check: deterministic and cheap. Its warnings are
-            # the candidate's, shown on the candidate's stderr when it runs, and
-            # no filter of the judge's may turn one into an error here.
-            try:
-                with _SYNTAX_CHECK_LOCK, warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    compile(source, spec.source_name, "exec", dont_inherit=True)
-            except SyntaxError as exc:
-                message = f"compilation failed: {exc.__class__.__name__}: {exc.msg} (line {exc.lineno})"
-                log_lines.append(message)
-                return message
-            return None
+    def _compile(self, tag: str, spec: LanguageSpec, src_path: Path, bin_path: Path) -> str | None:
+        """Runs the language's compile step, if any: the log line of its failure, else None."""
         if spec.compile_cmd is None:
             return None
         cmd = [arg.format(src=str(src_path), bin=str(bin_path)) for arg in spec.compile_cmd]
@@ -286,9 +270,7 @@ class LocalExecutor:
             except (OSError, subprocess.TimeoutExpired) as exc:
                 raise SandboxError(f"compiler unavailable or hung: {exc}") from exc
         if proc.returncode != 0:
-            message = f"compilation failed (exit {proc.returncode}): {_clip(proc.stderr, 800)}"
-            log_lines.append(message)
-            return message
+            return f"compilation failed (exit {proc.returncode}): {_clip(proc.stderr, 800)}"
         return None
 
     def _run_harness(self, in_fork: bool, argv: list[str], workdir: str,
@@ -333,7 +315,7 @@ class LocalExecutor:
 
     def _verdict(self, index: int, test: TestCase, result: tuple, in_fork: bool,
                  time_limit_ms: int, memory_limit_mb: int, log_lines: list[str]) -> TestResult:
-        returncode, out, err, memory_error = result
+        returncode, out, err, report = result
         if returncode is None:
             log_lines.append(f"test {index}: time limit exceeded ({time_limit_ms} ms)")
             return TestResult(index=index, status=Verdict.TIME_LIMIT_EXCEEDED)
@@ -345,7 +327,7 @@ class LocalExecutor:
         if returncode != 0:
             # A fork knows how its program ended; an exec'd one has only its
             # stderr to go by.
-            if (memory_error if in_fork else "MemoryError" in stderr):
+            if (report == "M" if in_fork else "MemoryError" in stderr):
                 log_lines.append(f"test {index}: memory limit exceeded ({memory_limit_mb} MB)")
                 return TestResult(index=index, status=Verdict.MEMORY_LIMIT_EXCEEDED)
             log_lines.append(

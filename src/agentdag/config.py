@@ -59,10 +59,9 @@ def _default_languages() -> dict[str, LanguageSpec]:
     return {
         "python": LanguageSpec(
             # -I -S: no site-packages, so no .pth hook runs at every start-up,
-            # and no environment or user paths. The judge runs this file in a
-            # fork of its harness, as python3 would.
+            # and no environment or user paths. The judge compiles and runs
+            # this file in a fork of its harness, as python3 would.
             run_cmd=("python3", "-I", "-S", "{src}"),
-            compile_cmd=None,  # syntax-checked in-process by the executor
             source_name="main.py",
         ),
     }

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Iterable, Iterator
@@ -59,11 +60,16 @@ def dumps(data: Any, *, indent: int | None = None) -> str:
     """Serialize to JSON with 17-significant-digit floats.
 
     Supports the JSON-native types plus tuples (as arrays). Mapping keys must
-    be strings; key order is preserved, never sorted.
+    be strings; key order is preserved, never sorted. A lone surrogate, which
+    has no UTF-8 form, is written as its ``\\uXXXX`` escape.
     """
     pieces: list[str] = []
     _write(data, pieces, indent, 0)
-    return "".join(pieces)
+    text = "".join(pieces)
+    # isascii() reads a flag of the string: ASCII text is never scanned, nor the pattern compiled.
+    if text.isascii():
+        return text
+    return re.sub("[\ud800-\udfff]", lambda m: f"\\u{ord(m[0]):04x}", text)
 
 
 def _write(obj: Any, out: list[str], indent: int | None, depth: int) -> None:

@@ -44,7 +44,7 @@ from .dsl import CheckResult, TopologyDoc, check_topology, doc_to_mapping, fence
 from .graph import DensityReport, EdgeKind, LayeredDag, decode_topology, density_scores
 from .problem import ProblemSpec
 from .rewards import RewardBreakdown, trajectory_return, turn_reward
-from .verdicts import ExecOutcome, TestResult, Verdict
+from .verdicts import ExecOutcome, Verdict
 
 _LANGUAGE_ALIASES = {"py": "python", "python3": "python"}
 _TRUNCATION_MARKER = "\n[... truncated at {cap} characters]"
@@ -171,12 +171,11 @@ class EpisodeResult:
 
 
 def extract_code(messages: Sequence[AgentMessage]) -> CodeBlock | None:
-    """Latest fenced block wins: scan messages in reverse, last block within one."""
+    """Latest fenced block with a non-blank body wins: messages in reverse, last block first."""
     for message in reversed(messages):
-        blocks = fenced_blocks(message.content)
-        if blocks:
-            label, body = blocks[-1]
-            return CodeBlock(source=body, language=_LANGUAGE_ALIASES.get(label, label) or None)
+        for label, body in reversed(fenced_blocks(message.content)):
+            if body.strip():
+                return CodeBlock(source=body, language=_LANGUAGE_ALIASES.get(label, label) or None)
     return None
 
 
@@ -382,12 +381,7 @@ class EpisodeRunner:
 
         code = extract_code(z_roles)
         if code is None:
-            outcome = ExecOutcome(
-                verdict=Verdict.COMPILATION_ERROR,
-                per_test=tuple(TestResult(index=i, status=Verdict.COMPILATION_ERROR)
-                               for i in range(len(problem.tests))),
-                logs=NO_CODE_LOG,
-            )
+            outcome = ExecOutcome.compilation_error(len(problem.tests), NO_CODE_LOG)
             return z_roles, outcome, usage, False
 
         outcome = self.sandbox.execute(

@@ -35,6 +35,8 @@ class ProblemSpec:
             raise ValueError(f"problem {self.id!r} declares no tests")
         if self.time_limit_ms <= 0 or self.memory_limit_mb <= 0:
             raise ValueError(f"problem {self.id!r} has non-positive limits")
+        for test in self.tests:  # a lone surrogate, which no program reads or prints, raises
+            test.input.encode("utf-8"), test.expected_output.encode("utf-8")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProblemSpec":

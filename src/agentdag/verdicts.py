@@ -80,6 +80,12 @@ class ExecOutcome:
     per_test: tuple[TestResult, ...] = ()
     logs: str = ""
 
+    @classmethod
+    def compilation_error(cls, tests: int, logs: str) -> ExecOutcome:
+        """A program that never ran: each of its ``tests`` is a compilation error."""
+        status = Verdict.COMPILATION_ERROR
+        return cls(status, tuple(TestResult(index=i, status=status) for i in range(tests)), logs)
+
     def to_dict(self) -> dict:
         return {
             "verdict": self.verdict.value,

@@ -285,10 +285,13 @@ class TestLocalExecutor:
             LocalExecutor().execute("print(1)", "python", (),
                                     time_limit_ms=1000, memory_limit_mb=64)
 
-    def test_unknown_language_is_infrastructure_error(self):
-        with pytest.raises(SandboxError):
-            LocalExecutor().execute("print(1)", "cobol", ECHO_PROBLEM.tests,
-                                    time_limit_ms=1000, memory_limit_mb=64)
+    def test_an_unknown_language_is_a_compilation_error(self):
+        # The language is the label of the model's fence: one with no toolchain is its error.
+        outcome = LocalExecutor().execute("print(1)", "cpp", ECHO_PROBLEM.tests,
+                                          time_limit_ms=1000, memory_limit_mb=64)
+        assert [t.status for t in outcome.per_test] == [Verdict.COMPILATION_ERROR] * 2
+        assert outcome.verdict is Verdict.COMPILATION_ERROR
+        assert outcome.logs == "no toolchain configured for language 'cpp'"
 
     def test_default_language_from_config(self):
         executor = LocalExecutor(ExecutorConfig())
@@ -466,12 +469,32 @@ class TestDefaultPythonCommand:
         assert outcome.verdict is Verdict.RUNTIME_ERROR
         assert "ModuleNotFoundError: No module named 'yaml'" in outcome.logs
 
-        plain = {"python": {"run_cmd": ["python3", "{src}"], "source_name": "main.py"}}
-        config = config_from_mapping({"executor": {"languages": plain}})
-        outcome = LocalExecutor(config.executor).execute(
+        outcome = executor_for(PLAIN_PYTHON).execute(
             source, "python", [TestCase(input="", expected_output="loaded\n")],
             time_limit_ms=4000, memory_limit_mb=256)
         assert outcome.verdict is Verdict.PASSED, outcome.logs
+
+    @pytest.mark.skipif(shutil.which("python3") is None, reason="needs python3 on PATH")
+    def test_the_site_packages_recipe_judges_a_syntax_error_in_its_compile_step(self):
+        source = "def broken(:\n    pass\n"
+        tests = [TestCase(input="", expected_output="")] * 2
+        outcome = executor_for(SITE_PACKAGES_RECIPE).execute(
+            source, "python", tests, time_limit_ms=4000, memory_limit_mb=256)
+        assert [t.status for t in outcome.per_test] == [Verdict.COMPILATION_ERROR] * 2
+        assert outcome.logs.startswith('compilation failed (exit 1):   File "main.py", line 1')
+        assert outcome.logs.endswith("SyntaxError: invalid syntax\n")
+        # Without a compile step, an exec'd program that does not compile fails as it runs.
+        outcome = executor_for(PLAIN_PYTHON).execute(
+            source, "python", tests, time_limit_ms=4000, memory_limit_mb=256)
+        assert [t.status for t in outcome.per_test] == [Verdict.RUNTIME_ERROR] * 2
+        assert outcome.logs.endswith("SyntaxError: invalid syntax")
+
+
+# The plain command, exec'd, and README's "Site-packages on demand" recipe,
+# which adds a compile step to it.
+PLAIN_PYTHON = {"python": {"run_cmd": ["python3", "{src}"], "source_name": "main.py"}}
+SITE_PACKAGES_RECIPE = {"python": dict(PLAIN_PYTHON["python"],
+                                       compile_cmd=["python3", "-m", "py_compile", "main.py"])}
 
 
 def executor_for(languages: dict) -> LocalExecutor:
@@ -663,8 +686,8 @@ class TestHarnessWireFormat:
         from agentdag.adapters import _harness
 
         output = b"x" * size
-        results = [(0, output, b"", False) if stream == "stdout" else (0, b"", output, False),
-                   (None, b"7\n", b"Traceback\n", True)]
+        results = [(0, output, b"", "") if stream == "stdout" else (0, b"", output, ""),
+                   (None, b"7\n", b"Traceback\n", "M"), (1, b"", b"", "CSyntaxError: x (line 1)")]
         replies = [("pid", 4242), *(("result", result) for result in results), ("error", "why")]
         data = b"".join(chunk for tag, payload in replies for chunk in (
             _harness.result_frame(*payload) if tag == "result" else [_harness.frame((tag, payload))]))
@@ -785,6 +808,23 @@ def harness_of(executor: LocalExecutor) -> int:
     return int(judge_one(executor, PRINT_HARNESS).per_test[0].actual_prefix)
 
 
+@pytest.fixture
+def judged(monkeypatch) -> list[int]:
+    """The number of results of each job a harness judged, in order."""
+    from agentdag.adapters import sandbox
+
+    counts = []
+    judge = sandbox._Harness.judge
+
+    def counting_judge(harness, *args):
+        results, running, ending = judge(harness, *args)
+        counts.append(len(results))
+        return results, running, ending
+
+    monkeypatch.setattr(sandbox._Harness, "judge", counting_judge)
+    return counts
+
+
 def judge_one(executor: LocalExecutor, source: str, language: str = "python", **limits):
     return executor.execute(source, language, [TestCase(input="", expected_output="ok\n")],
                             time_limit_ms=limits.get("time_limit_ms", 4000),
@@ -803,26 +843,23 @@ class TestHarnessPool:
         assert [harness_of(executor) for _ in range(3)] == [first] * 3
         assert first != os.getpid()
 
-    def test_a_compile_error_never_reaches_a_harness(self, monkeypatch):
-        from agentdag.adapters import sandbox
-
-        jobs = []
-        judge = sandbox._Harness.judge
-
-        def counting_judge(harness, job, *args):
-            jobs.append(job)
-            return judge(harness, job, *args)
-
-        monkeypatch.setattr(sandbox._Harness, "judge", counting_judge)
+    @pytest.mark.parametrize("count", [1, 4, 16])
+    def test_a_syntax_error_costs_one_job_and_one_forked_test(self, count, judged):
         executor = LocalExecutor()
-        outcome = executor.execute("print(input())", "python",
-                                   [TestCase(input=f"{i}\n", expected_output="") for i in range(4)],
+        # At 16 tests the inputs outgrow a pipe, so the job is still being sent
+        # when its compile error comes back.
+        tests = [TestCase(input=f"{i}\n" * 5000, expected_output=f"{i}\n") for i in range(count)]
+        outcome = executor.execute("def broken(:\n    pass\n", "python", tests,
                                    time_limit_ms=4000, memory_limit_mb=256)
-        assert [t.status for t in outcome.per_test] == [Verdict.WRONG_ANSWER] * 4
-        assert len(jobs) == 1
-        outcome = judge_one(executor, "def broken(:\n    pass\n")
-        assert outcome.verdict is Verdict.COMPILATION_ERROR
-        assert len(jobs) == 1
+        assert [t.status for t in outcome.per_test] == [Verdict.COMPILATION_ERROR] * count
+        assert outcome.logs == "compilation failed: SyntaxError: invalid syntax (line 1)"
+        assert judged == [1]
+        # The harness took the job's other inputs off its pipe, so the next
+        # candidate reads its own.
+        outcome = executor.execute("print(input())", "python", tests, time_limit_ms=4000,
+                                   memory_limit_mb=256)
+        assert outcome.verdict is Verdict.PASSED, outcome.logs
+        assert judged == [1, count]
 
     def test_concurrent_executes_share_at_most_workers_harnesses(self, tmp_path):
         executor = LocalExecutor(ExecutorConfig(workers=4))
@@ -1044,8 +1081,70 @@ class TestPythonInTheFork:
 
 
 class TestPythonSyntaxCheck:
-    """The judge's in-process syntax check compiles a candidate as the
-    interpreter would, and keeps what it shows to the candidate."""
+    """A program run in the fork is compiled there, once per test, as the
+    interpreter compiles a file; a ``SyntaxError`` of that compile, and only
+    that, is a ``COMPILATION_ERROR``. What the compile shows stays the
+    candidate's."""
+
+    def judge(self, source: str, tests: list[TestCase]):
+        return LocalExecutor().execute(source, "python", tests, time_limit_ms=4000,
+                                       memory_limit_mb=256)
+
+    @pytest.mark.parametrize("source,error", [
+        ("def f()\n    pass\n", "SyntaxError: expected ':' (line 1)"),
+        ("if True:\nprint(1)\n", "IndentationError: expected an indented block after 'if' "
+                                 "statement on line 1 (line 2)"),
+        ("if True:\n        x = 1\n\tprint(x)\n",
+         "TabError: inconsistent use of tabs and spaces in indentation (line 3)"),
+        ("print(1)\x00\n", "SyntaxError: source code string cannot contain null bytes (line None)"),
+        ("print((1)\n", "SyntaxError: '(' was never closed (line 1)"),
+        ("x = " + "[" * 5000 + "]" * 5000 + "\n",
+         "SyntaxError: too many nested parentheses (line 1)"),
+    ], ids=["missing colon", "indentation", "tab", "nul byte", "unclosed paren", "deep nesting"])
+    def test_a_syntax_error_keeps_its_log_line(self, source, error):
+        outcome = self.judge(source, [TestCase("1\n", "1\n"), TestCase("2\n", "2\n")])
+        assert [t.status for t in outcome.per_test] == [Verdict.COMPILATION_ERROR] * 2
+        assert outcome.logs == f"compilation failed: {error}"
+
+    @pytest.mark.parametrize("source,verdict,last_line", [
+        ("x = " + "-" * 200_000 + "1\n", Verdict.MEMORY_LIMIT_EXCEEDED, "MemoryError"),
+        ("x = 1" + "+1" * 200_000 + "\n", Verdict.RUNTIME_ERROR,
+         "RecursionError: maximum recursion depth exceeded during compilation"),
+    ], ids=["parser stack", "compiler recursion"])
+    def test_a_source_too_deep_to_compile_ends_as_under_the_interpreter(
+            self, source, verdict, last_line, tmp_path):
+        script = tmp_path / "main.py"
+        script.write_text(source, encoding="utf-8")
+        plain = subprocess.run([sys.executable, "-I", "-S", str(script)], capture_output=True,
+                               text=True, timeout=60)
+        assert plain.returncode == 1
+        assert plain.stderr.strip().splitlines()[-1] == last_line
+        outcome = self.judge(source, [TestCase("", "")] * 2)
+        assert [t.status for t in outcome.per_test] == [verdict] * 2
+        if verdict is Verdict.RUNTIME_ERROR:
+            assert outcome.logs.endswith(last_line)
+
+    def test_a_byte_order_mark_is_read_as_the_interpreter_reads_it(self):
+        outcome = self.judge("\ufeffprint(input())", [TestCase("hi\n", "hi\n")])
+        assert outcome.verdict is Verdict.PASSED, outcome.logs
+
+    def test_a_byte_the_coding_declaration_refuses_is_a_compilation_error(self):
+        outcome = self.judge("# coding: ascii\nprint('\u00e9')\n", [TestCase("", "")])
+        assert outcome.verdict is Verdict.COMPILATION_ERROR
+        assert outcome.logs == ("compilation failed: SyntaxError: 'ascii' codec can't decode "
+                                "byte 0xc3 in position 23: ordinal not in range(128) (line 0)")
+
+    def test_a_lone_surrogate_is_a_compilation_error(self):
+        outcome = self.judge("print('\ud800')\n", [TestCase("", "")])
+        assert outcome.verdict is Verdict.COMPILATION_ERROR
+        assert outcome.logs.startswith(
+            "compilation failed: SyntaxError: (unicode error) 'utf-8' codec can't decode byte 0xed")
+
+    def test_a_syntax_error_the_program_raises_as_it_runs_is_a_runtime_error(self):
+        outcome = self.judge("print(input())\neval('(')\n", [TestCase("hi\n", "hi\n")] * 2)
+        assert [t.status for t in outcome.per_test] == [Verdict.RUNTIME_ERROR] * 2
+        assert outcome.per_test[0].actual_prefix == "hi\n"
+        assert outcome.logs.endswith("SyntaxError: '(' was never closed")
 
     def test_a_syntax_warning_stays_off_the_judges_stderr_and_is_no_error(self, capfd):
         # In a process of its own: pytest records the warnings of its tests.
@@ -1148,11 +1247,12 @@ class TestCompiledLanguage:
         assert [t.status for t in outcome.per_test] == [Verdict.PASSED, Verdict.WRONG_ANSWER]
         assert outcome.logs == "test 1: expected '4', got '3', input '1 2'"
 
-    def test_a_syntax_error_is_a_compilation_error_with_the_compiler_message(self):
+    def test_a_syntax_error_is_a_compilation_error_with_the_compiler_message(self, judged):
         outcome = self.judge("int main(void) { return 0 }\n", [TestCase("", "")] * 2)
         assert [t.status for t in outcome.per_test] == [Verdict.COMPILATION_ERROR] * 2
         assert outcome.logs.startswith("compilation failed (exit 1): ")
         assert "main.c" in outcome.logs and "error" in outcome.logs
+        assert judged == []  # a failed compile step never reaches a harness
 
     def test_an_allocation_past_the_memory_limit_fails_and_exits_as_written(self):
         source = ("#include <stdlib.h>\n#include <string.h>\n"

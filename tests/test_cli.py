@@ -117,6 +117,13 @@ class TestProblemRecords:
         with pytest.raises(ValueError, match="'expected_output' must be a string"):
             ProblemSpec.from_dict(data)
 
+    @pytest.mark.parametrize("field", ["input", "expected_output"])
+    def test_a_test_string_with_a_lone_surrogate_is_malformed(self, field):
+        # No program could read or print it: the judge passes text as UTF-8.
+        test = dict({"input": "hi\n", "expected_output": "hi\n"}, **{field: "h\ud800"})
+        with pytest.raises(ValueError, match="malformed problem record: .*surrogates not allowed"):
+            ProblemSpec.from_dict(dict(echo_problem_dict(), tests=[test]))
+
     def test_string_fields_are_kept_as_written(self):
         data = dict(echo_problem_dict(), id="None", description="",
                     tests=[{"input": "", "expected_output": "3"}])
@@ -488,6 +495,45 @@ class TestRun:
         statuses = [json.loads(line)["status"] for line in out.strip().split("\n")]
         assert statuses == ["PASSED", "ERROR"]
         assert "episode echo2: ScriptExhausted" in err
+
+    def run_bundle(self, run_fixture, capsys, bundle: dict) -> tuple[int, dict, str]:
+        """Runs problem ``echo`` on ``bundle``; the exit code, the episode and stderr."""
+        bundle_path = write(run_fixture["tmp"], "bundle2.json", json.dumps(bundle))
+        code, out, err = run_cli(capsys, "run", "--problem", run_fixture["problem1"],
+                                 "--config", run_fixture["config"],
+                                 "--policy", f"scripted:{bundle_path}")
+        (line,) = out.splitlines()
+        return code, json.loads(line), err
+
+    @pytest.mark.parametrize("first,language,log", [
+        ("", "python", "no fenced code block found in the agent messages"),
+        ("  \n", "python", "no fenced code block found in the agent messages"),
+        ("print(input())", "cpp", "no toolchain configured for language 'cpp'"),
+    ], ids=["empty block", "blank block", "unconfigured language"])
+    def test_a_block_the_judge_cannot_run_is_a_compilation_error(self, run_fixture, capsys,
+                                                                  first, language, log):
+        bundle = {"policy": [fenced(VALID_TOPOLOGY)] * 2,
+                  "solutions": {"*": [first, "print(input())"]}, "language": language}
+        code, episode, err = self.run_bundle(run_fixture, capsys, bundle)
+        assert code == 0, err
+        turns = episode["trajectory"]["turns"]
+        assert turns[0]["outcome"]["verdict"] == "COMPILATION_ERROR"
+        assert turns[0]["outcome"]["logs"] == log
+        assert episode["status"] == ("PASSED" if language == "python" else "FAILED")
+
+    def test_lone_surrogates_in_model_output_are_judged_and_written(self, run_fixture, capsys):
+        policy = fenced(VALID_TOPOLOGY) + "\ud800"
+        bundle = {"policy": [policy, fenced(VALID_TOPOLOGY)],
+                  "solutions": {"*": ["print('\udfff')", "print(input())"]}}
+        code, episode, err = self.run_bundle(run_fixture, capsys, bundle)
+        assert code == 0, err
+        first, second = episode["trajectory"]["turns"]
+        assert first["policy_text"] == policy
+        assert "print('\udfff')" in first["messages"][-1]["content"]
+        assert first["outcome"]["verdict"] == "COMPILATION_ERROR"
+        assert first["outcome"]["logs"].startswith(
+            "compilation failed: SyntaxError: (unicode error) 'utf-8' codec can't decode")
+        assert (second["outcome"]["verdict"], episode["status"]) == ("PASSED", "PASSED")
 
     def test_bad_problems_line_names_the_file_and_line(self, run_fixture, capsys):
         bad = write(run_fixture["tmp"], "bad.jsonl",

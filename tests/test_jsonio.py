@@ -16,6 +16,14 @@ from agentdag.jsonio import as_float, as_int, dumps, format_float, read_jsonl, w
 ANY_CHAR = st.characters(exclude_categories=()) | st.characters(categories=["Cs"])
 
 
+
+def stdlib_form(text: str) -> str:
+    """``json.dumps(text, ensure_ascii=False)``, but with each surrogate
+    escaped as under ``ensure_ascii=True``: it has no UTF-8 form."""
+    return '"%s"' % "".join(json.dumps(char, ensure_ascii="\ud800" <= char <= "\udfff")[1:-1]
+                            for char in text)
+
+
 class TestFloatFormat:
     @pytest.mark.parametrize("value,rendered", [
         (0.0, "0"),
@@ -109,9 +117,14 @@ class TestDumps:
 
     @given(st.text(ANY_CHAR), st.text(ANY_CHAR))
     def test_strings_are_escaped_as_the_stdlib_escapes_them(self, key, value):
-        assert dumps(value) == json.dumps(value, ensure_ascii=False)
-        assert dumps({key: value}) == "{%s:%s}" % (json.dumps(key, ensure_ascii=False),
-                                                   json.dumps(value, ensure_ascii=False))
+        assert dumps(value) == stdlib_form(value)
+        assert dumps({key: value}) == "{%s:%s}" % (stdlib_form(key), stdlib_form(value))
+
+    @pytest.mark.parametrize("text", ["\ud800", "a\udfffb", "\udc80\ud800", "é\ud800😀"])
+    def test_a_lone_surrogate_is_escaped_and_read_back_as_it_was(self, text):
+        line = dumps({"policy_text": text})
+        line.encode("utf-8")  # a surrogate left in would raise here
+        assert json.loads(line) == {"policy_text": text}
 
     @staticmethod
     def _normalize(obj):

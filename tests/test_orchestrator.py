@@ -164,6 +164,13 @@ class TestExtractCode:
         block = extract_code([message("```python\ncode\n```"), message("summary only")])
         assert block.source == "code"
 
+    def test_a_block_with_a_blank_body_is_skipped(self):
+        blank = message("```python\n\n```\ntext\n```\n  \t\n```")
+        assert extract_code([blank]) is None
+        assert extract_code([message("```python\ncode\n```"), blank]).source == "code"
+        within = message("```python\nfirst\n```\n```cpp\n\n```")
+        assert extract_code([within]) == extract_code([message("```python\nfirst\n```")])
+
     @pytest.mark.parametrize("label,language", [
         ("python", "python"), ("py", "python"), ("python3", "python"),
         ("PYTHON", "python"), ("", None), ("rust", "rust"),
