@@ -1,5 +1,6 @@
 """The judge harness, run as ``python3 -I -S`` on this file: a long-lived
-process that judges one candidate per job, and imports nothing of agentdag.
+process, the judge's only launcher, that runs one job per compile step or
+candidate, and imports nothing of agentdag.
 
 Both ways it speaks in frames, a marshalled value after its size in 8
 little-endian bytes, spelled out only here: the judge writes a setup with
@@ -13,7 +14,8 @@ with ``splice``, never through its heap, and forks a child that takes that
 file as its stdin, moves to ``workdir`` and leads a session of its own under
 RLIMIT_AS. With ``in_fork`` set, a child runs the Python file ``argv[0]``
 itself with ``sys.argv = argv``, as ``python3 -I -S *argv`` would; otherwise
-it execs ``argv``. The harness reads the child's stdout and stderr into
+it execs ``argv``, without the ``LC_CTYPE`` that the harness's own locale
+coercion set. The harness reads the child's stdout and stderr into
 buffers of ``keep`` bytes allocated at start-up, so that no output grows its
 heap, throws away what does not fit, and kills its process group when it
 exits or its time is up. It replies on stdout with ``("pid", pid)`` once a
@@ -21,7 +23,7 @@ child is forked, then ``("result", (exit code or None on timeout, stdout
 size, stderr size, report))`` followed by the kept bytes of stdout and of
 stderr, raw, or ``("error", why)`` when the child could not start, after
 which it exits. The report is "", "M" after a MemoryError, or "C" and the
-error when ``argv[0]`` does not compile. A job ends at its last result or
+error when compiling ``argv[0]`` raises one. A job ends at its last result or
 at a "C" one, whose other inputs are read, not run. The harness exits at
 end of file on stdin. Its imports are kept light (no signal, which pulls in
 enum), and it never touches sys.stdin or sys.stdout, so a child inherits
@@ -156,6 +158,8 @@ def child(workdir, in_fork, argv, limit_as, stdin, out_w, err_w, report_w, other
         if not in_fork:
             for signum in (_signal.SIGPIPE, _signal.SIGXFSZ):
                 _signal.signal(signum, _signal.SIG_DFL)
+            # Set by the harness's locale coercion (PEP 538), never by the judge.
+            os.unsetenv("LC_CTYPE")
             os.execvp(argv[0], argv)
     except BaseException as exc:
         try:
@@ -189,10 +193,12 @@ def child(workdir, in_fork, argv, limit_as, stdin, out_w, err_w, report_w, other
             # Without this frame, as the interpreter shows an error in a script.
             exc.__traceback__ = exc.__traceback__.tb_next
             sys.excepthook(type(exc), exc, exc.__traceback__)
-            memory_error = isinstance(exc, MemoryError)
-            if program is None and isinstance(exc, SyntaxError):  # the compile's own
-                report = f"C{type(exc).__name__}: {exc.msg} (line {exc.lineno})"
+            if program is None:  # the compile's own: the program never ran
+                why = f"{exc.msg} (line {exc.lineno})" if isinstance(exc, SyntaxError) else str(exc)
+                report = f"C{type(exc).__name__}" + (f": {why}" if why else "")
                 os.write(report_w, report.encode("utf-8", "replace"))
+            else:
+                memory_error = isinstance(exc, MemoryError)
         status = finish(status)
         if memory_error:
             os.write(report_w, b"M")

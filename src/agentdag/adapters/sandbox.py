@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import os
+import resource
 import select
 import signal
-import subprocess
 import sys
 import tempfile
 import threading
@@ -38,10 +38,6 @@ def _decode(data: bytes) -> str:
     return data.decode("utf-8", "replace").replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _child_env() -> dict[str, str]:
-    return {key: os.environ[key] for key in _ENV_KEYS if key in os.environ}
-
-
 class _Harness:
     """One harness process, owned by the process that spawned it, and the
     judge's ends of its pipes. ``keep`` is its output cap, sent in the setup
@@ -54,9 +50,9 @@ class _Harness:
         argv = [sys.executable, "-I", "-S", str(Path(__file__).with_name("_harness.py"))]
         actions = [(os.POSIX_SPAWN_DUP2, job_r, 0), (os.POSIX_SPAWN_DUP2, reply_w, 1),
                    (os.POSIX_SPAWN_DUP2, err_w, 2)]
+        env = {key: os.environ[key] for key in _ENV_KEYS if key in os.environ}
         try:
-            self.pid = os.posix_spawn(argv[0], argv, _child_env(), file_actions=actions,
-                                      setsid=True)
+            self.pid = os.posix_spawn(argv[0], argv, env, file_actions=actions, setsid=True)
         except OSError:
             for fd in (self.jobs, self.replies, self.errors):
                 os.close(fd)
@@ -70,8 +66,8 @@ class _Harness:
         for fd in (self.jobs, self.replies, self.errors):
             os.set_blocking(fd, False)
 
-    def judge(self, job: bytes, count: int,
-              timeout_s: float) -> tuple[list[tuple], int | None, str | None]:
+    def judge(self, job: bytes, count: int, timeout_s: float,
+              what: str) -> tuple[list[tuple], int | None, str | None]:
         """Sends one job of ``count`` tests, after the setup if it is the
         first, and reads its frames; the job ends early at a result that
         reports a compile failure.
@@ -80,7 +76,7 @@ class _Harness:
         and None, or how the harness ended when it died, ran out of time or
         wrote a frame out of step. A harness that ended is closed; one that
         could not launch the program is closed and raises. No wait outlasts
-        the timeout.
+        the timeout. ``what`` names the program in that error.
         """
         deadline = time.monotonic() + timeout_s
         pending = memoryview(self.unsent + job)
@@ -126,7 +122,7 @@ class _Harness:
                         count = len(results)
                 elif tag == "error":
                     self.close()
-                    raise SandboxError(f"failed to launch candidate program: {payload}")
+                    raise SandboxError(f"failed to launch {what}: {payload}")
                 else:
                     self.close()
                     return results, running, "wrote a frame out of step"
@@ -169,17 +165,17 @@ def _close_all(harnesses: list[_Harness]) -> None:
 class LocalExecutor:
     """Runs candidate programs under wall-time and address-space limits.
 
-    One harness process judges all tests of a candidate. Harnesses live
-    across candidates: each is spawned on the first ``execute`` that finds
-    none idle, at most one per configured worker, and is replaced when it
-    ends abnormally. Each test runs in a process and session of its own,
-    forked from a harness, in the judge's temporary workdir, with only
-    ``PATH`` and ``LANG`` of the caller's environment; its output is read as
-    it comes and kept up to ``max_output_bytes``. Compilations are
-    serialized per language toolchain; concurrent ``execute`` calls are
-    throttled by the configured worker cap. Harnesses exit when their
-    executor is garbage-collected or its process exits. Linux only (the
-    harness watches its children through pidfds).
+    One harness process runs a candidate's compile step, if any, and all its
+    tests. Harnesses live across candidates: each is spawned on the first
+    ``execute`` that finds none idle, at most one per configured worker, and
+    is replaced when it ends abnormally. Each compile step and test runs in a
+    process and session of its own, forked from a harness, in the judge's
+    temporary workdir, with only ``PATH`` and ``LANG`` of the caller's
+    environment; its output is read as it comes and kept up to
+    ``max_output_bytes``. Compilations are serialized per language toolchain;
+    concurrent ``execute`` calls are throttled by the configured worker cap.
+    Harnesses exit when their executor is garbage-collected or its process
+    exits. Linux only (the harness watches its children through pidfds).
     """
 
     def __init__(self, config: ExecutorConfig | None = None):
@@ -218,15 +214,13 @@ class LocalExecutor:
             src_path = Path(workdir) / spec.source_name
             # A lone surrogate goes to the file as bytes that fail the compile.
             src_path.write_text(source, encoding="utf-8", errors="surrogatepass")
-            bin_path = Path(workdir) / "program"
+            paths = {"src": str(src_path), "bin": str(Path(workdir) / "program")}
 
-            compile_error = self._compile(tag, spec, src_path, bin_path)
+            compile_error = self._compile(tag, spec, workdir, paths)
             if compile_error is not None:
                 return ExecOutcome.compilation_error(len(tests), compile_error)
 
-            run_cmd = [
-                arg.format(src=str(src_path), bin=str(bin_path)) for arg in spec.run_cmd
-            ]
+            run_cmd = [arg.format(**paths) for arg in spec.run_cmd]
             if tag == "python":
                 # Run under the same interpreter that is running us.
                 run_cmd = [sys.executable if arg == "python3" else arg for arg in run_cmd]
@@ -236,8 +230,9 @@ class LocalExecutor:
                        and not run_cmd[3].startswith("-"))
             argv = run_cmd[3:] if in_fork else run_cmd
 
-            results, ending = self._run_harness(in_fork, argv, workdir, tests, time_limit_ms,
-                                                memory_limit_mb)
+            results, ending = self._run_harness(
+                in_fork, argv, workdir, [test.input.encode("utf-8") for test in tests],
+                time_limit_ms / 1000, memory_limit_mb * 1024 * 1024, "candidate program")
         if results and results[-1][3].startswith("C"):  # the fork's compile failed
             return ExecOutcome.compilation_error(
                 len(tests), f"compilation failed: {results[-1][3][1:]}")
@@ -256,36 +251,39 @@ class LocalExecutor:
             log_lines.append(f"all {len(tests)} tests passed")
         return ExecOutcome(verdict=verdict, per_test=tuple(per_test), logs="\n".join(log_lines))
 
-    def _compile(self, tag: str, spec: LanguageSpec, src_path: Path, bin_path: Path) -> str | None:
-        """Runs the language's compile step, if any: the log line of its failure, else None."""
+    def _compile(self, tag: str, spec: LanguageSpec, workdir: str,
+                 paths: dict[str, str]) -> str | None:
+        """Runs the language's compile step, if any, as a harness job of one
+        test with no input: the log line of its failure, else None."""
         if spec.compile_cmd is None:
             return None
-        cmd = [arg.format(src=str(src_path), bin=str(bin_path)) for arg in spec.compile_cmd]
+        cmd = [arg.format(**paths) for arg in spec.compile_cmd]
         with self._compile_locks[tag]:
-            try:
-                proc = subprocess.run(
-                    cmd, capture_output=True, text=True, timeout=_COMPILE_TIMEOUT_S,
-                    cwd=src_path.parent, env=_child_env(),
-                )
-            except (OSError, subprocess.TimeoutExpired) as exc:
-                raise SandboxError(f"compiler unavailable or hung: {exc}") from exc
-        if proc.returncode != 0:
-            return f"compilation failed (exit {proc.returncode}): {_clip(proc.stderr, 800)}"
+            # Under no address-space limit but the judge's own.
+            results, ending = self._run_harness(
+                False, cmd, workdir, [b""], _COMPILE_TIMEOUT_S,
+                resource.getrlimit(resource.RLIMIT_AS)[0], f"compiler {cmd[0]!r}")
+        if not results:
+            raise SandboxError(f"judge harness ended during the compile step ({ending})")
+        returncode, _, err, _ = results[0]
+        if returncode is None:
+            return f"compilation timed out after {_COMPILE_TIMEOUT_S:g} s"
+        if returncode != 0:
+            return f"compilation failed (exit {returncode}): {_clip(_decode(err), 800)}"
         return None
 
-    def _run_harness(self, in_fork: bool, argv: list[str], workdir: str,
-                     tests: Sequence[TestCase], time_limit_ms: int,
-                     memory_limit_mb: int) -> tuple[list[tuple], str | None]:
-        """Runs every test on one harness. Returns one result tuple per test
-        that got one, in order, and how the harness ended, if it did; a
+    def _run_harness(self, in_fork: bool, argv: list[str], workdir: str, inputs: list[bytes],
+                     limit_s: float, limit_as: int, what: str) -> tuple[list[tuple], str | None]:
+        """Runs a test per input on one harness. Returns one result tuple per
+        test that got one, in order, and how the harness ended, if it did; a
         harness that ended early leaves no process of the test it was
-        running."""
-        job = job_frame(workdir, in_fork, argv, [test.input.encode("utf-8") for test in tests],
-                        time_limit_ms / 1000, memory_limit_mb * 1024 * 1024)
-        timeout_s = len(tests) * time_limit_ms / 1000 + _HARNESS_SLACK_S
+        running. Each result's stderr names the workdir's files by their own
+        names: the workdir's is random, and logs should repeat."""
+        job = job_frame(workdir, in_fork, argv, inputs, limit_s, limit_as)
+        timeout_s = len(inputs) * limit_s + _HARNESS_SLACK_S
         harness = self._harness()
         try:
-            results, running, ending = harness.judge(job, len(tests), timeout_s)
+            results, running, ending = harness.judge(job, len(inputs), timeout_s, what)
         except BaseException:
             harness.close()
             raise
@@ -296,7 +294,9 @@ class LocalExecutor:
                 os.killpg(running, signal.SIGKILL)
             except ProcessLookupError:  # nothing is left in it
                 pass
-        return results, ending
+        prefix = os.fsencode(workdir + os.sep)
+        return [(returncode, out, err.replace(prefix, b""), report)
+                for returncode, out, err, report in results], ending
 
     def _harness(self) -> _Harness:
         """An idle harness of this process, or a new one."""

@@ -462,6 +462,15 @@ class TestDefaultPythonCommand:
         assert lines(logged) == lines(plain.stderr)
         assert lines(logged)[-1] == "ZeroDivisionError: integer division or modulo by zero"
 
+    def test_logs_name_the_workdirs_files_by_their_own_names(self):
+        source = "print(__file__)\nraise ValueError('no')\n"
+        first, second = self.judge(source), self.judge(source)
+        assert 'File "main.py", line 2, in <module>' in first.logs
+        assert "agentdag-judge-" not in first.logs
+        assert first.logs == second.logs
+        # What the program printed is compared, and kept, as it came.
+        assert "agentdag-judge-" in first.per_test[0].actual_prefix
+
     def test_site_packages_are_out_of_reach_unless_the_command_is_overridden(self):
         pytest.importorskip("yaml")  # installed for the judge, not for candidates
         source = "import yaml\nprint('loaded')\n"
@@ -1082,9 +1091,8 @@ class TestPythonInTheFork:
 
 class TestPythonSyntaxCheck:
     """A program run in the fork is compiled there, once per test, as the
-    interpreter compiles a file; a ``SyntaxError`` of that compile, and only
-    that, is a ``COMPILATION_ERROR``. What the compile shows stays the
-    candidate's."""
+    interpreter compiles a file; an error of that compile, and only that, is
+    a ``COMPILATION_ERROR``. What the compile shows stays the candidate's."""
 
     def judge(self, source: str, tests: list[TestCase]):
         return LocalExecutor().execute(source, "python", tests, time_limit_ms=4000,
@@ -1106,13 +1114,16 @@ class TestPythonSyntaxCheck:
         assert [t.status for t in outcome.per_test] == [Verdict.COMPILATION_ERROR] * 2
         assert outcome.logs == f"compilation failed: {error}"
 
-    @pytest.mark.parametrize("source,verdict,last_line", [
-        ("x = " + "-" * 200_000 + "1\n", Verdict.MEMORY_LIMIT_EXCEEDED, "MemoryError"),
-        ("x = 1" + "+1" * 200_000 + "\n", Verdict.RUNTIME_ERROR,
+    @pytest.mark.parametrize("source,last_line", [
+        ("x = " + "-" * 200_000 + "1\n", "MemoryError"),
+        ("x = 1" + "+1" * 200_000 + "\n",
          "RecursionError: maximum recursion depth exceeded during compilation"),
     ], ids=["parser stack", "compiler recursion"])
     def test_a_source_too_deep_to_compile_ends_as_under_the_interpreter(
-            self, source, verdict, last_line, tmp_path):
+            self, source, last_line, tmp_path):
+        # The plain interpreter exits 1 before the program runs; the fork's
+        # compile fails the same way, and that is a compile failure, not a
+        # memory verdict or a runtime error of a program that never ran.
         script = tmp_path / "main.py"
         script.write_text(source, encoding="utf-8")
         plain = subprocess.run([sys.executable, "-I", "-S", str(script)], capture_output=True,
@@ -1120,9 +1131,8 @@ class TestPythonSyntaxCheck:
         assert plain.returncode == 1
         assert plain.stderr.strip().splitlines()[-1] == last_line
         outcome = self.judge(source, [TestCase("", "")] * 2)
-        assert [t.status for t in outcome.per_test] == [verdict] * 2
-        if verdict is Verdict.RUNTIME_ERROR:
-            assert outcome.logs.endswith(last_line)
+        assert [t.status for t in outcome.per_test] == [Verdict.COMPILATION_ERROR] * 2
+        assert outcome.logs == f"compilation failed: {last_line}"
 
     def test_a_byte_order_mark_is_read_as_the_interpreter_reads_it(self):
         outcome = self.judge("\ufeffprint(input())", [TestCase("hi\n", "hi\n")])
@@ -1250,9 +1260,10 @@ class TestCompiledLanguage:
     def test_a_syntax_error_is_a_compilation_error_with_the_compiler_message(self, judged):
         outcome = self.judge("int main(void) { return 0 }\n", [TestCase("", "")] * 2)
         assert [t.status for t in outcome.per_test] == [Verdict.COMPILATION_ERROR] * 2
-        assert outcome.logs.startswith("compilation failed (exit 1): ")
-        assert "main.c" in outcome.logs and "error" in outcome.logs
-        assert judged == []  # a failed compile step never reaches a harness
+        # The compiler names the source by its path in the workdir, which the log leaves out.
+        assert outcome.logs.startswith("compilation failed (exit 1): main.c:")
+        assert "error" in outcome.logs
+        assert judged == [1]  # the compile step is a job of one test; no test job follows
 
     def test_an_allocation_past_the_memory_limit_fails_and_exits_as_written(self):
         source = ("#include <stdlib.h>\n#include <string.h>\n"
@@ -1261,6 +1272,106 @@ class TestCompiledLanguage:
         outcome = self.judge(source, [TestCase("", "")], memory_limit_mb=64)
         assert outcome.verdict is Verdict.RUNTIME_ERROR
         assert outcome.logs == "test 0: runtime error (exit 3); stderr: "
+
+
+@pytest.mark.skipif(shutil.which("sh") is None, reason="needs a POSIX shell")
+class TestCompileStep:
+    """A compile step runs on a harness as a job of one test with no input,
+    under the supervision every test gets. Shell commands stand in for a
+    compiler, so that nothing waits on a real one."""
+
+    @staticmethod
+    def languages(compile_cmd: list[str]) -> dict:
+        return {"c": {"compile_cmd": compile_cmd, "run_cmd": ["sh", "{src}"],
+                      "source_name": "main.c"}}
+
+    def judge(self, compile_cmd: list[str], source: str = "echo ok\n"):
+        return executor_for(self.languages(compile_cmd)).execute(
+            source, "c", [TestCase("", "ok\n")], time_limit_ms=4000, memory_limit_mb=256)
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs procfs")
+    def test_a_child_the_compile_step_leaves_is_killed_and_does_not_hold_it(self, tmp_path):
+        report = tmp_path / "session"
+        started = time.monotonic()
+        outcome = self.judge(["sh", "-c", f"sleep 8 & echo $$ > {report}"])
+        assert time.monotonic() - started < 1
+        assert outcome.verdict is Verdict.PASSED, outcome.logs
+        sid = int(report.read_text())  # the compile step leads the session
+        deadline = time.monotonic() + 1
+        while live_session_members(sid) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert live_session_members(sid) == []
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs procfs")
+    def test_a_compile_step_that_floods_stderr_keeps_the_judge_memory_bounded(self):
+        # In a judge of its own, which reads its peak RSS from its address space.
+        flood = self.languages(["sh", "-c", "head -c 50000000 /dev/zero >&2; exit 1"])
+        script = (
+            "from agentdag.adapters import LocalExecutor\n"
+            "from agentdag.config import config_from_mapping\n"
+            "from agentdag.problem import TestCase\n"
+            "def peak():\n"
+            "    return int(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+            "def judge(languages):\n"
+            "    config = config_from_mapping({'executor': {'languages': languages}})\n"
+            "    return LocalExecutor(config.executor).execute(\n"
+            "        'echo ok', 'c', [TestCase('', 'ok\\n')], time_limit_ms=4000,\n"
+            "        memory_limit_mb=256)\n"
+            f"judge({self.languages(['sh', '-c', 'exit 1'])!r})\n"
+            "before = peak()\n"
+            f"outcome = judge({flood!r})\n"
+            "print(outcome.verdict.value, peak() - before)\n"
+        )
+        src_root = str(Path(agentdag.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src_root), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        verdict, rise_kb = proc.stdout.split()
+        assert verdict == "COMPILATION_ERROR"
+        assert int(rise_kb) < 10 * 1024
+
+    def test_a_lone_surrogate_in_the_source_is_a_compilation_error(self):
+        # The stand-in echoes the source's bytes as a compiler echoes a bad line.
+        outcome = self.judge(["sh", "-c", "cat {src} >&2; exit 1"], source="int x = '\ud800';\n")
+        assert outcome.verdict is Verdict.COMPILATION_ERROR
+        assert outcome.logs.startswith("compilation failed (exit 1): int x = '\ufffd")
+
+    def test_a_compile_step_past_its_time_is_a_compilation_error(self, monkeypatch):
+        from agentdag.adapters import sandbox
+
+        monkeypatch.setattr(sandbox, "_COMPILE_TIMEOUT_S", 0.5)
+        started = time.monotonic()
+        outcome = self.judge(["sleep", "60"])
+        assert time.monotonic() - started < 5
+        assert [t.status for t in outcome.per_test] == [Verdict.COMPILATION_ERROR]
+        assert outcome.logs == "compilation timed out after 0.5 s"
+
+    def test_a_compiler_that_cannot_start_is_an_infrastructure_error(self):
+        with pytest.raises(SandboxError, match="agentdag-no-such-compiler"):
+            self.judge(["agentdag-no-such-compiler", "{src}"])
+
+    def test_a_harness_that_ends_during_the_compile_step_is_an_infrastructure_error(self):
+        executor = executor_for(self.languages(["sh", "-c", "kill -9 $PPID"]))
+        for _ in range(2):  # the killed harness is replaced
+            with pytest.raises(SandboxError, match=r"compile step \(killed by signal 9\)"):
+                executor.execute("echo ok\n", "c", [TestCase("", "ok\n")], time_limit_ms=4000,
+                                 memory_limit_mb=256)
+
+    @pytest.mark.skipif(shutil.which("env") is None, reason="needs env")
+    def test_exec_d_programs_and_compile_steps_see_only_path_and_lang(self, monkeypatch):
+        # Without LANG, the harness's interpreter coerces its locale and sets
+        # LC_CTYPE in its own environment; no exec'd program inherits it.
+        monkeypatch.delenv("LANG", raising=False)
+        monkeypatch.delenv("LC_ALL", raising=False)
+        monkeypatch.setenv("AGENTDAG_TEST_KEY", "secret")
+        outcome = self.judge(["sh", "-c", "env >&2; exit 1"])
+        assert outcome.logs.startswith("compilation failed (exit 1): ")
+        assert f"PATH={os.environ['PATH']}\n" in outcome.logs
+        assert "LC_CTYPE" not in outcome.logs and "AGENTDAG_TEST_KEY" not in outcome.logs
+        executor = executor_for({"env": {"run_cmd": ["env"]}})
+        outcome = executor.execute("-", "env", [TestCase("", f"PATH={os.environ['PATH']}\n")],
+                                   time_limit_ms=4000, memory_limit_mb=256)
+        assert outcome.verdict is Verdict.PASSED, outcome.logs
 
 
 # -- remote loopback -----------------------------------------------------------

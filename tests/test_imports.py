@@ -145,23 +145,16 @@ def test_no_module_names_pyyamls_libyaml_classes():
                          "D = getattr(yaml, 'CSafeDumper', None)\nCSafeLoader\n") == [1, 2, 3, 4]
 
 
-# perfbench's traced mode replaces ``sandbox.subprocess`` with a namespace
-# that holds only these two names.
-SANDBOX_SUBPROCESS_NAMES = {"run", "TimeoutExpired"}
-
-
-def test_the_sandbox_reaches_subprocess_only_through_run_and_timeout_expired():
+# The judge has one way to start a process: every compile step and every test
+# runs in a process that a harness forks. So its own module never imports the
+# second launcher that ``subprocess`` would be.
+def test_the_sandbox_does_not_import_subprocess():
     tree = ast.parse((PACKAGE_ROOT / "adapters" / "sandbox.py").read_text(encoding="utf-8"))
-    attributes = [node.attr for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                  and node.value.id == "subprocess"]
-    bare_names = [node for node in ast.walk(tree)
-                  if isinstance(node, ast.Name) and node.id == "subprocess"]
-    from_imports = [node for node in ast.walk(tree)
-                    if isinstance(node, ast.ImportFrom) and node.module == "subprocess"]
-    assert attributes and set(attributes) <= SANDBOX_SUBPROCESS_NAMES
-    assert len(bare_names) == len(attributes)  # never passed around whole
-    assert from_imports == []
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "os" in imported  # the check sees real imports
+    assert "subprocess" not in imported
 
 
 # What the judge harness may import. A harness no longer starts once per
