@@ -16,7 +16,7 @@ from random import Random
 from time import sleep
 
 from ..config import AdapterEndpoint
-from ..jsonio import as_int
+from ..jsonio import as_int, loads
 from ..problem import ProblemSpec
 from .base import AdapterError, AgentRequest, AgentResponse, TokenUsage
 
@@ -87,7 +87,7 @@ class _ChatClient:
     def _parse(body: str) -> AgentResponse:
         """The reply's text and token counts; an absent or null usage counts zero."""
         try:
-            data = json.loads(body)
+            data = loads(body, "response body")
             content = data["choices"][0]["message"]["content"]
             if not isinstance(content, str):
                 raise TypeError(f"content is {type(content).__name__}, not a string")
@@ -100,7 +100,7 @@ class _ChatClient:
                                   for key in ("prompt_tokens", "completion_tokens"))
             if prompt < 0 or completion < 0:
                 raise ValueError(f"negative token count in {usage}")
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise AdapterError(f"malformed completion response: {exc}") from exc
         return AgentResponse(content=content, usage=TokenUsage(prompt_tokens=prompt,
                                                                completion_tokens=completion))

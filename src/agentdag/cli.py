@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 validation failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
-import json
 import shlex
 import sys
 from pathlib import Path
@@ -127,7 +126,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 def _cmd_reward(args: argparse.Namespace) -> int:
     from .rewards import trajectory_return, turn_reward
 
-    data = json.loads(_read_text(args.file))
+    data = jsonio.loads(_read_text(args.file), args.file)
     if not isinstance(data, dict):
         raise ValueError("malformed reward input: expected a JSON object")
     try:
@@ -163,7 +162,7 @@ def _cmd_reward(args: argparse.Namespace) -> int:
 def _cmd_grpo_adv(args: argparse.Namespace) -> int:
     from .rewards import EPS_STD, GrpoBatch
 
-    returns = json.loads(args.returns)
+    returns = jsonio.loads(args.returns, "--returns")
     if not isinstance(returns, list):
         raise ValueError("--returns must be a JSON array of numbers")
     eps_std = EPS_STD if args.eps_std is None else args.eps_std
@@ -175,7 +174,7 @@ def _cmd_grpo_adv(args: argparse.Namespace) -> int:
 def _cmd_grpo_surrogate(args: argparse.Namespace) -> int:
     from .rewards import TrajectoryLogProbs, grpo_surrogate
 
-    data = json.loads(_read_text(args.file))
+    data = jsonio.loads(_read_text(args.file), args.file)
     try:
         advantages = [jsonio.as_float(a) for a in data["advantages"]]
         batch = []
@@ -214,8 +213,8 @@ def _cmd_grpo_surrogate(args: argparse.Namespace) -> int:
 
 def _load_bundle(path: str) -> dict:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        data = jsonio.loads(Path(path).read_text(encoding="utf-8"), path)
+    except OSError as exc:
         raise ConfigError(f"cannot load scripted bundle {path}: {exc}") from exc
     if not isinstance(data, dict) or "policy" not in data:
         raise ConfigError(f"scripted bundle {path} must be an object with a 'policy' key")
@@ -446,9 +445,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (AdapterError, SandboxError) as exc:
         _fail(str(exc))
         return EXIT_INFRA
-    except json.JSONDecodeError as exc:
-        _fail(f"invalid JSON input: {exc}")
-        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         _fail(str(exc))
         return EXIT_USAGE

@@ -8,8 +8,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Mapping
 
-import yaml
-
+from .dsl import TopologyError, load_yaml
 from .jsonio import as_float, as_int
 from .roles import DEFAULT_ROLE_POOL, ROLE_PROMPTS
 
@@ -175,7 +174,10 @@ def _endpoint_from(data: Mapping[str, Any], where: str) -> AdapterEndpoint:
 def _command(raw: Any, what: str) -> tuple[str, ...]:
     if isinstance(raw, (str, bytes)):
         raise ConfigError(f"{what} must be a list of arguments, not a string")
-    return tuple(raw)
+    command = tuple(raw)
+    if not all(isinstance(arg, str) for arg in command):
+        raise ConfigError(f"{what} arguments must all be strings")
+    return command
 
 
 def _languages_from(data: Mapping[str, Any]) -> dict[str, LanguageSpec]:
@@ -218,8 +220,11 @@ def config_from_mapping(data: Mapping[str, Any]) -> RunConfig:
         if "role_pool" in data:
             kwargs["role_pool"] = tuple(str(r) for r in data.pop("role_pool"))
         if "role_prompts" in data:
+            raw_prompts = data.pop("role_prompts")
+            if not isinstance(raw_prompts, Mapping):
+                raise ConfigError("role_prompts must be a mapping of role names to prompts")
             prompts = dict(ROLE_PROMPTS)
-            prompts.update({str(k): str(v) for k, v in data.pop("role_prompts").items()})
+            prompts.update({str(k): str(v) for k, v in raw_prompts.items()})
             kwargs["role_prompts"] = prompts
         if "policy" in data:
             kwargs["policy"] = _endpoint_from(data.pop("policy"), "policy")
@@ -239,12 +244,11 @@ def config_from_mapping(data: Mapping[str, Any]) -> RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     """Load and validate a config file (YAML or JSON — JSON is a YAML subset)."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            data = yaml.safe_load(handle)
+        data = load_yaml(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"config {path} is not valid YAML: {exc}") from exc
+    except TopologyError as exc:
+        raise ConfigError(f"config {path} is not valid YAML: {exc.detail}") from exc
     if data is None:
         data = {}
     if not isinstance(data, dict):

@@ -63,13 +63,6 @@ class TopologyError(ValueError):
         self.detail = detail
         self.location = location
 
-    def to_dict(self) -> dict:
-        return {
-            "class": self.error_class.value,
-            "detail": self.detail,
-            "location": self.location.to_dict() if self.location else None,
-        }
-
 
 @dataclass(frozen=True)
 class AgentSpec:
@@ -265,6 +258,14 @@ class _DepthBoundLoader(yaml.SafeLoader):
 
     _depth = 0
 
+    def fetch_flow_collection_start(self, TokenClass):
+        # The scanner walks every open flow level's possible simple key for
+        # each token it reads, so a deep flow text is refused as it opens,
+        # before the composer sees it.
+        if self.flow_level == _MAX_DEPTH:
+            raise TopologyError(ErrorClass.YAML_PARSE_ERROR, _TOO_DEEP)
+        super().fetch_flow_collection_start(TokenClass)
+
     def compose_node(self, parent, index):
         if self._depth == _MAX_DEPTH:
             raise TopologyError(ErrorClass.YAML_PARSE_ERROR, _TOO_DEEP)
@@ -275,8 +276,8 @@ class _DepthBoundLoader(yaml.SafeLoader):
             self._depth -= 1
 
 
-def _load(yaml_text: str):
-    """The data of a YAML text as the pure SafeLoader reads it.
+def load_yaml(yaml_text: str):
+    """The data of a YAML text, a topology or a run config, as the pure SafeLoader reads it.
 
     Raises YAML_PARSE_ERROR with the first line of the pure loader's message,
     or for a document nested deeper than _MAX_DEPTH nodes.
@@ -300,7 +301,7 @@ def parse_topology(yaml_text: str, *, fallback_difficulty: int | None = None) ->
     YAML_SCHEMA_INVALID. Referential rules are checked separately by
     :func:`validate_logic`.
     """
-    data = _load(yaml_text)
+    data = load_yaml(yaml_text)
     if not isinstance(data, dict):
         raise _schema_error(f"top level must be a mapping, got {type(data).__name__}")
 

@@ -1,4 +1,4 @@
-"""JSON output with a pinned float format: 17 significant digits, always.
+"""JSON in, and JSON out with a pinned float format: 17 significant digits, always.
 
 The stock ``json`` module renders floats with ``repr`` (shortest round-trip),
 which is stable but not what downstream consumers were promised. This writer
@@ -54,6 +54,17 @@ def as_str(value: Any, field: str) -> str:
     if not isinstance(value, str):
         raise TypeError(f"{field!r} must be a string, not {type(value).__name__}")
     return value
+
+
+def loads(text: str, where: str | Path, line: int | None = None) -> Any:
+    """The data of a JSON text from ``where`` (at ``line``, for JSONL), or a ValueError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        detail = str(exc)
+    except RecursionError:  # RFC 8259 section 9 lets a parser limit nesting depth
+        detail = "document nests too deeply for the decoder"
+    raise ValueError(f"{where if line is None else f'{where}:{line}'}: invalid JSON: {detail}")
 
 
 def dumps(data: Any, *, indent: int | None = None) -> str:
@@ -145,9 +156,5 @@ def read_jsonl(path: str | Path) -> Iterator[Any]:
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+            if line:
+                yield loads(line, path, line_no)

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .jsonio import as_int, as_str, read_jsonl
+from .jsonio import as_int, as_str, loads, read_jsonl
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,7 @@ class ProblemSpec:
 
 
 def load_problem(path: str | Path) -> ProblemSpec:
-    with open(path, encoding="utf-8") as handle:
-        return ProblemSpec.from_dict(json.load(handle))
+    return ProblemSpec.from_dict(loads(Path(path).read_text(encoding="utf-8"), path))
 
 
 def iter_problems(path: str | Path) -> Iterator[ProblemSpec]:

@@ -27,6 +27,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import agentdag
+from agentdag import jsonio
 from agentdag.adapters import (
     AdapterError,
     AgentRequest,
@@ -41,6 +42,7 @@ from agentdag.adapters import (
     estimate_tokens,
     remote,
 )
+from agentdag.cli import main
 from agentdag.config import AdapterEndpoint, ExecutorConfig, config_from_mapping
 from agentdag.problem import ProblemSpec, TestCase
 from agentdag.verdicts import (
@@ -1393,9 +1395,10 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(data)
             return
-        if self.server.raw_body is not None:
-            data = self.server.raw_body
-        else:
+        data = self.server.raw_body
+        if callable(data):
+            data = data(body)
+        if data is None:
             content = self.server.reply_fn(body)
             data = json.dumps({
                 "choices": [{"message": {"content": content}}],
@@ -1421,7 +1424,7 @@ def _serve(server_class):
     server.plan = []
     server.delays = []  # seconds to stall before answering, one per request
     server.reply_fn = lambda body: "stub reply"
-    server.raw_body = None
+    server.raw_body = None  # bytes, or a function of the request body to bytes or None
     # A client that gave up on a stalled answer has closed its end.
     server.handle_error = lambda request, address: None
     # A short poll interval, so that shutdown() does not wait half a second.
@@ -1580,6 +1583,39 @@ class TestRemoteAdapters:
         policy = RemotePolicy(endpoint_for(stub_server))
         with pytest.raises(AdapterError, match="malformed completion response"):
             policy.generate(ECHO_PROBLEM, "p")
+
+    def test_a_deeply_nested_reply_is_adapter_error(self, stub_server):
+        stub_server.raw_body = b"[" * 100_000 + b"]" * 100_000
+        with pytest.raises(AdapterError, match="^malformed completion response: response body: "
+                                               "invalid JSON: document nests too deeply"):
+            RemotePolicy(endpoint_for(stub_server)).generate(ECHO_PROBLEM, "p")
+
+    def test_a_deeply_nested_reply_ends_only_its_own_episode(self, stub_server, tmp_path,
+                                                             capsys):
+        # The policy reads the topology block, the role agent the last block.
+        stub_server.reply_fn = lambda body: (
+            "```yaml\ndifficulty: 1\nsteps:\n- agents:\n  - id: coder\n"
+            "    role: coding\n    ref: []\n```\n```python\nprint(input())\n```")
+        stub_server.raw_body = lambda body: (
+            b"[" * 100_000 + b"]" * 100_000
+            if any("NEST" in m["content"] for m in body["messages"]) else None)
+        host, port = stub_server.server_address
+        url = f"http://{host}:{port}/v1/chat"
+        config = tmp_path / "remote.yaml"
+        config.write_text(f"policy: {{kind: remote, url: '{url}'}}\n"
+                          f"roles: {{kind: remote, url: '{url}'}}\n", encoding="utf-8")
+        problems = tmp_path / "problems.jsonl"
+        jsonio.write_jsonl([dict(ECHO_PROBLEM.to_dict(), id=pid, description=text)
+                            for pid, text in (("deep", "NEST"), ("echo", "Echo a line."))],
+                           problems)
+        code = main(["run", "--problems", str(problems), "--config", str(config)])
+        out, err = capsys.readouterr()
+        episodes = [json.loads(line) for line in out.splitlines()]
+        assert code == 3
+        assert [(e["problem_id"], e["status"]) for e in episodes] == [
+            ("deep", "ERROR"), ("echo", "PASSED")]
+        assert episodes[0]["error"].startswith("AdapterError: malformed completion response")
+        assert "1 ERROR" in err
 
     def test_a_null_usage_counts_zero(self, stub_server):
         stub_server.raw_body = REPLY % (b'"x"', b"null")

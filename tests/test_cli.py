@@ -11,7 +11,8 @@ import pytest
 
 from oracles import advantages_oracle, graph_reward_oracle
 
-from agentdag.cli import main
+from agentdag.cli import _build_adapters, main
+from agentdag.config import load_config
 from agentdag.corpus import CorpusRecord, read_corpus, write_corpus
 from agentdag.problem import ProblemSpec
 
@@ -123,6 +124,16 @@ class TestProblemRecords:
         test = dict({"input": "hi\n", "expected_output": "hi\n"}, **{field: "h\ud800"})
         with pytest.raises(ValueError, match="malformed problem record: .*surrogates not allowed"):
             ProblemSpec.from_dict(dict(echo_problem_dict(), tests=[test]))
+
+    @pytest.mark.parametrize("change, reason", [
+        ({"id": ""}, "problem id must be non-empty"),
+        ({"tests": []}, "problem 'echo' declares no tests"),
+        ({"time_limit_ms": 0}, "problem 'echo' has non-positive limits"),
+        ({"memory_limit_mb": -1}, "problem 'echo' has non-positive limits"),
+    ])
+    def test_an_empty_or_unjudgeable_problem_is_malformed(self, change, reason):
+        with pytest.raises(ValueError, match=f"^malformed problem record: {reason}$"):
+            ProblemSpec.from_dict(dict(echo_problem_dict(), **change))
 
     def test_string_fields_are_kept_as_written(self):
         data = dict(echo_problem_dict(), id="None", description="",
@@ -321,7 +332,19 @@ class TestReward:
     def test_unparseable_json_is_a_usage_error(self, tmp_path, capsys):
         path = write(tmp_path, "r.json", "{not json")
         code, _, err = run_cli(capsys, "reward", path)
-        assert code == 2 and "invalid JSON input" in err
+        assert code == 2 and err.startswith(f"error: {path}: invalid JSON: Expecting")
+
+    @pytest.mark.parametrize("counts, reason", [
+        ({"v_count": 0, "e_count": 0, "s": 1}, "v_count must be >= 1"),
+        ({"v_count": 2, "e_count": 0, "s": 3}, "s must satisfy 1 <= s <= v_count"),
+        ({"v_count": 2, "e_count": -1, "s": 1}, "e_count must be >= 0"),
+    ])
+    def test_impossible_structure_counts_are_a_usage_error(self, tmp_path, capsys,
+                                                           counts, reason):
+        turn = dict(counts, verdict="PASSED", difficulty=1)
+        path = write(tmp_path, "r.json", json.dumps({"turns": [turn]}))
+        code, out, err = run_cli(capsys, "reward", path)
+        assert (code, out, err) == (2, "", f"error: {reason}\n")
 
 
 class TestGrpo:
@@ -613,6 +636,45 @@ class TestRun:
         assert code == 2 and out == ""
         assert err == f"error: --workers must be at least 1, got {workers}\n"
 
+    def test_without_policy_a_scripted_config_is_a_usage_error(self, run_fixture, capsys):
+        code, out, err = run_cli(capsys, "run", "--problem", run_fixture["problem1"],
+                                 "--config", run_fixture["config"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: unknown policy spec 'scripted'")
+
+    def test_without_policy_a_remote_config_builds_remote_adapters(self, tmp_path,
+                                                                   monkeypatch):
+        from agentdag.adapters import remote
+
+        def no_request(*args, **kwargs):
+            raise AssertionError("building the adapters sent a request")
+
+        monkeypatch.setattr(remote.urllib.request, "urlopen", no_request)
+        config = load_config(write(tmp_path, "remote.yaml", (
+            "policy: {kind: remote, url: 'http://127.0.0.1:9/policy'}\n"
+            "roles: {kind: remote, url: 'http://127.0.0.1:9/roles'}\n")))
+        policy, roles = _build_adapters(None, config)
+        assert isinstance(policy, remote.RemotePolicy)
+        assert isinstance(roles, remote.RemoteRoleBackend)
+        assert (policy._endpoint, roles._endpoint) == (config.policy, config.roles)
+
+    @pytest.mark.parametrize("text, reason", [
+        ("a: " + "[" * 3000 + "]" * 3000,
+         "is not valid YAML: document nests too deeply for the YAML loader"),
+        ("role_prompts: [a]", "role_prompts must be a mapping of role names to prompts"),
+        ("executor: {languages: {python: {run_cmd: [1, 2]}}}",
+         "language 'python' run_cmd arguments must all be strings"),
+    ], ids=["deep", "role_prompts", "run_cmd"])
+    def test_an_unusable_config_is_refused_in_one_line(self, run_fixture, capsys,
+                                                       text, reason):
+        config = write(run_fixture["tmp"], "bad.yaml", text + "\n")
+        code, out, err = run_cli(capsys, "run", "--problem", run_fixture["problem1"],
+                                 "--config", config,
+                                 "--policy", f"scripted:{run_fixture['bundle']}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.endswith(f"{reason}\n")
+        assert err.count("\n") == 1
+
     def test_remote_policy_needs_urls(self, run_fixture, capsys):
         code, _, err = run_cli(capsys, "run", "--problem", run_fixture["problem1"],
                                "--config", run_fixture["config"],
@@ -714,6 +776,40 @@ class TestCorpusCli:
         path = write(tmp_path, "typed.jsonl", line + "\n")
         code, out, err = run_cli(capsys, "corpus", "filter", path, str(tmp_path / "out.jsonl"))
         assert code == 2 and out == "" and "error: malformed corpus record" in err
+
+
+# Deeper than the stdlib decoder's stack allows; RFC 8259 section 9 lets a
+# parser refuse such a text.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+class TestDeeplyNestedJson:
+    @pytest.mark.parametrize("command", [
+        "reward", "grpo adv", "grpo surrogate", "corpus filter", "corpus stats",
+        "run --problem", "run --problems", "run --policy",
+    ])
+    def test_every_reader_refuses_it_in_one_line(self, run_fixture, capsys, command):
+        deep = write(run_fixture["tmp"], "deep.json", DEEP_JSON)
+        deep_lines = write(run_fixture["tmp"], "deep.jsonl", DEEP_JSON + "\n")
+        run = ["run", "--config", run_fixture["config"]]
+        argv, where = {
+            "reward": (["reward", deep], deep),
+            "grpo adv": (["grpo", "adv", "--returns", DEEP_JSON], "--returns"),
+            "grpo surrogate": (["grpo", "surrogate", deep], deep),
+            "corpus filter": (["corpus", "filter", deep_lines,
+                               str(run_fixture["tmp"] / "out.jsonl")], f"{deep_lines}:1"),
+            "corpus stats": (["corpus", "stats", deep_lines], f"{deep_lines}:1"),
+            "run --problem": (run + ["--problem", deep,
+                                     "--policy", f"scripted:{run_fixture['bundle']}"], deep),
+            "run --problems": (run + ["--problems", deep_lines,
+                                      "--policy", f"scripted:{run_fixture['bundle']}"],
+                               f"{deep_lines}:1"),
+            "run --policy": (run + ["--problem", run_fixture["problem1"],
+                                    "--policy", f"scripted:{deep}"], deep),
+        }[command]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {where}: invalid JSON: document nests too deeply for the decoder\n"
 
 
 class TestUsageSurface:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from agentdag.config import (
@@ -119,6 +121,11 @@ class TestMappingParsing:
         ({"weights": ["1", 1]}, "expected a finite number"),
         ({"policy": {"retries": " 7 "}}, "policy.retries: expected an integer"),
         ({"executor": {"workers": "1_0"}}, "executor.workers: expected an integer"),
+        ({"role_prompts": ["a"]}, "role_prompts must be a mapping of role names to prompts"),
+        ({"executor": {"languages": {"python": {"run_cmd": [1, 2]}}}},
+         "language 'python' run_cmd arguments must all be strings"),
+        ({"executor": {"languages": {"c": {"run_cmd": ["./a.out"], "compile_cmd": ["cc", 2]}}}},
+         "language 'c' compile_cmd arguments must all be strings"),
     ])
     def test_rejections(self, data, needle):
         with pytest.raises(ConfigError, match=needle):
@@ -160,6 +167,11 @@ class TestValidation:
                 config.executor.languages["python"] = config.executor.languages["python"]
         prompts["coding"] = "changed by the caller"
         assert configs[1].role_prompts["coding"] == "write code"
+
+    @pytest.mark.parametrize("field", ["max_output_bytes", "workers"])
+    def test_executor_limits_must_be_positive(self, field):
+        with pytest.raises(ConfigError, match="executor limits must all be >= 1"):
+            RunConfig(executor=ExecutorConfig(**{field: 0})).validated()
 
     def test_default_language_must_have_a_spec(self):
         with pytest.raises(ConfigError, match="no language spec"):
@@ -233,6 +245,17 @@ class TestLoadConfig:
         path = tmp_path / "broken.yaml"
         path.write_text("a: [\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="not valid YAML"):
+            load_config(path)
+
+    @pytest.mark.parametrize("text", [
+        "a: " + "[" * 3000 + "]" * 3000,
+        "a:\n" + "".join(" " * i + "- \n" for i in range(0, 200, 2)),
+    ], ids=["flow", "block"])
+    def test_deep_nesting_is_refused_as_in_a_topology(self, tmp_path, text):
+        path = tmp_path / "deep.yaml"
+        path.write_text(text + "\n", encoding="utf-8")
+        reason = f"config {path} is not valid YAML: document nests too deeply for the YAML loader"
+        with pytest.raises(ConfigError, match=f"^{re.escape(reason)}$"):
             load_config(path)
 
 

@@ -446,6 +446,20 @@ class TestDeepNesting:
         assert result.error_class is ErrorClass.YAML_SCHEMA_INVALID
         assert result.detail == "top level must be a mapping, got list"
 
+    @pytest.mark.parametrize("opener, closer", [("[", "]"), ("{a: ", "}")])
+    def test_a_deep_flow_text_is_refused_as_it_opens(self, monkeypatch, opener, closer):
+        # For each token, the scanner walks the possible simple key of every
+        # open flow level, and it reads on while one is pending. Without a
+        # bound of its own it walks 1,024 characters of a deep text before the
+        # composer sees a node: some 2,900 calls here, a quarter of a second.
+        calls = []
+        stale = dsl._DepthBoundLoader.stale_possible_simple_keys
+        monkeypatch.setattr(dsl._DepthBoundLoader, "stale_possible_simple_keys",
+                            lambda loader: calls.append(1) or stale(loader))
+        result = check_yaml(opener * 20_000 + "0" + closer * 20_000)
+        assert result.detail == self.TOO_DEEP
+        assert 0 < len(calls) < 10 * dsl._MAX_DEPTH
+
     def test_merge_chains_under_a_deep_caller_stack_are_a_parse_error(self):
         text = "{<<: " * 400 + "{a: 1}" + "}" * 400
         result = at_stack_depth(sys.getrecursionlimit() - 300, text)

@@ -84,31 +84,49 @@ def test_only_the_stdlib_and_yaml_are_imported():
     assert offenders == []
 
 
-# One codec path: topology YAML is read and written only in dsl, and the
-# config file is read only in config.
+# One reader per document format: JSON is decoded only in jsonio, and YAML
+# (topologies and the run config) is read and written only in dsl.
 YAML_CODEC_CALLS = {"load", "safe_load", "dump", "safe_dump"}
-YAML_CODEC_MODULES = {"dsl.py", "config.py"}
+JSON_DECODE_CALLS = {"load", "loads"}
 
 
-def yaml_codec_uses(path: Path) -> list[str]:
+def codec_uses(path: Path, module: str, calls: set[str]) -> list[str]:
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = []
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and node.attr in YAML_CODEC_CALLS
-                and isinstance(node.value, ast.Name) and node.value.id == "yaml"):
-            found.append(f"{path.relative_to(PACKAGE_ROOT)}:{node.lineno}: yaml.{node.attr}")
-        elif isinstance(node, ast.ImportFrom) and node.module == "yaml":
-            found.extend(f"{path.relative_to(PACKAGE_ROOT)}:{node.lineno}: from yaml import {a.name}"
-                         for a in node.names if a.name in YAML_CODEC_CALLS | {"*"})
+        if (isinstance(node, ast.Attribute) and node.attr in calls
+                and isinstance(node.value, ast.Name) and node.value.id == module):
+            found.append(f"{path.relative_to(PACKAGE_ROOT)}:{node.lineno}: {module}.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == module:
+            found.extend(f"{path.relative_to(PACKAGE_ROOT)}:{node.lineno}: "
+                         f"from {module} import {a.name}"
+                         for a in node.names if a.name in calls | {"*"})
     return found
 
 
-def test_yaml_is_read_and_written_only_in_dsl_and_config():
-    offenders = [hit for path in sorted(PACKAGE_ROOT.rglob("*.py"))
-                 if str(path.relative_to(PACKAGE_ROOT)) not in YAML_CODEC_MODULES
-                 for hit in yaml_codec_uses(path)]
-    assert offenders == []
-    assert yaml_codec_uses(PACKAGE_ROOT / "dsl.py")  # the check sees real uses
+def codec_uses_outside(home: str, module: str, calls: set[str]) -> list[str]:
+    return [hit for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+            if str(path.relative_to(PACKAGE_ROOT)) != home
+            for hit in codec_uses(path, module, calls)]
+
+
+def importers_of(module: str) -> list[str]:
+    return [str(path.relative_to(PACKAGE_ROOT)) for path in sorted(PACKAGE_ROOT.rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if (isinstance(node, ast.Import) and module in (a.name for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == module)]
+
+
+def test_yaml_is_read_and_written_only_in_dsl():
+    assert codec_uses_outside("dsl.py", "yaml", YAML_CODEC_CALLS) == []
+    assert importers_of("yaml") == ["dsl.py"]
+    assert codec_uses(PACKAGE_ROOT / "dsl.py", "yaml", YAML_CODEC_CALLS)  # the check sees real uses
+
+
+def test_json_is_decoded_only_in_jsonio():
+    assert codec_uses_outside("jsonio.py", "json", JSON_DECODE_CALLS) == []
+    assert codec_uses(PACKAGE_ROOT / "jsonio.py", "json", JSON_DECODE_CALLS)
+    assert codec_uses_outside("jsonio.py", "json", {"dumps"})  # the check sees other modules
 
 
 # PyYAML's libyaml classes exist only where PyYAML was built with libyaml, and

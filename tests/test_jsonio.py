@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from agentdag.jsonio import as_float, as_int, dumps, format_float, read_jsonl, write_jsonl
+from agentdag.jsonio import (as_float, as_int, dumps, format_float, loads, read_jsonl,
+                             write_jsonl)
 
 
 # Every code point, with lone surrogates drawn often.
@@ -154,3 +155,26 @@ class TestJsonl:
         path.write_text('{"a": 1}\nnot json\n', encoding="utf-8")
         with pytest.raises(ValueError, match=r":2: invalid JSON"):
             list(read_jsonl(path))
+
+    def test_a_line_nested_too_deeply_reports_its_number(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        path.write_text('{"a": 1}\n' + "[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r":2: invalid JSON: document nests too deeply"):
+            list(read_jsonl(path))
+
+
+class TestLoads:
+    def test_a_document_is_read_as_the_stdlib_reads_it(self):
+        text = '{"a": [1, 2.5, "\\u00e9", null, true]}'
+        assert loads(text, "doc.json") == json.loads(text)
+
+    def test_a_broken_document_names_where_it_came_from(self):
+        with pytest.raises(ValueError, match=r"^doc\.json: invalid JSON: Expecting value"):
+            loads("[1,", "doc.json")
+
+    @pytest.mark.parametrize("opener, closer", [("[", "]"), ('{"a":', "}")])
+    def test_a_document_nested_too_deeply_is_refused(self, opener, closer):
+        # RFC 8259 section 9 lets a parser limit the nesting it accepts.
+        with pytest.raises(ValueError, match=r"^doc\.json: invalid JSON: "
+                                             r"document nests too deeply for the decoder$"):
+            loads(opener * 100_000 + "0" + closer * 100_000, "doc.json")
