@@ -175,7 +175,7 @@ def child(workdir, in_fork, argv, limit_as, stdin, out_w, err_w, report_w, other
         module.__builtins__ = builtins
         # The frames of this module and of this function sit below the program's own.
         sys.setrecursionlimit(sys.getrecursionlimit() + 2)
-        memory_error = False
+        memory_error = interrupted = False
         program = None
         try:
             with open(argv[0], "rb") as source:
@@ -199,9 +199,15 @@ def child(workdir, in_fork, argv, limit_as, stdin, out_w, err_w, report_w, other
                 os.write(report_w, report.encode("utf-8", "replace"))
             else:
                 memory_error = isinstance(exc, MemoryError)
+                interrupted = type(exc) is KeyboardInterrupt  # as the interpreter checks it
         status = finish(status)
         if memory_error:
             os.write(report_w, b"M")
+        if interrupted:
+            # The interpreter ends by SIGINT here, so that its caller sees the interrupt.
+            _signal.signal(_signal.SIGINT, _signal.SIG_DFL)
+            os.kill(os.getpid(), _signal.SIGINT)
+            status = 130  # reached only while the program keeps SIGINT blocked
     finally:
         os._exit(status)
 

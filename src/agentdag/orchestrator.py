@@ -235,19 +235,21 @@ def build_validation_observation(check: CheckResult) -> Observation:
 
 def render_history_prompt(problem: ProblemSpec, turns: Sequence[TurnRecord], *,
                           text_cap: int = 4000) -> str:
-    """The policy's view: the problem, then each prior topology with its feedback."""
+    """The policy's view: the problem, then each prior attempt with its feedback.
+
+    An executed turn's feedback already shows its topology under ``topology
+    used:``, so the topology is written on its own only for a turn without
+    feedback, a passed one; an episode never shows the policy such a turn."""
     lines = [f"Problem {problem.id}:", problem.description]
     for record in turns:
         lines.append("")
         lines.append(f"--- turn {record.turn} ---")
-        if record.doc is not None:
-            # An executed turn that did not pass already holds its rendering.
-            trace = record.observation.topology_trace if record.observation else ""
-            lines.append("topology:")
-            lines.append((trace or to_yaml(record.doc)).rstrip("\n"))
-        else:
+        if record.doc is None:
             lines.append("raw output:")
             lines.append(truncate_text(record.policy_text, text_cap))
+        elif record.observation is None:
+            lines.append("topology:")
+            lines.append(to_yaml(record.doc).rstrip("\n"))
         if record.observation is not None:
             lines.append("feedback:")
             lines.append(record.observation.prompt_text)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 from hypothesis import settings
@@ -8,6 +9,15 @@ from hypothesis import settings
 from agentdag.adapters import LocalExecutor
 from agentdag.dsl import AgentSpec, Step, TopologyDoc
 from agentdag.roles import DEFAULT_ROLE_POOL
+
+# A topology in a history prompt, as a whole block: under ``topology used:`` up
+# to the line that closes an executed turn's feedback, or under ``topology:``
+# up to the turn's ``feedback:`` line, a blank line or the end. Canonical YAML
+# has no blank line, and one topology can be a prefix of another, so a block
+# is matched to its closing line, never counted as a substring.
+_TOPOLOGY_BLOCK = re.compile(
+    r"^topology used:\n(.*?)\nRevise the topology and emit a corrected fenced yaml block\.$"
+    r"|^topology:\n(.*?)(?=\nfeedback:$|\n\n|\Z)", re.M | re.S)
 
 settings.register_profile("ci", deadline=None, max_examples=60)
 settings.load_profile("ci")
@@ -23,6 +33,23 @@ class CountingSandbox:
     def execute(self, *args, **kwargs):
         self.runs += 1
         return self.inner.execute(*args, **kwargs)
+
+
+class PromptSpy:
+    """A policy that records the history prompt of every call, then delegates."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.prompts = []
+
+    def generate(self, problem, history_prompt):
+        self.prompts.append(history_prompt)
+        return self.inner.generate(problem, history_prompt)
+
+
+def topology_blocks(prompt: str) -> list[str]:
+    """Every topology a history prompt shows, in order, without its trailing newline."""
+    return [used or own for used, own in _TOPOLOGY_BLOCK.findall(prompt)]
 
 
 def make_doc(layers, difficulty: int = 1) -> TopologyDoc:

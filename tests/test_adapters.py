@@ -1078,6 +1078,22 @@ class TestPythonInTheFork:
                                           time_limit_ms=4000, memory_limit_mb=64)
         assert outcome.verdict is Verdict.MEMORY_LIMIT_EXCEEDED, outcome.logs
 
+    @pytest.mark.parametrize("ending,status", [
+        ("raise KeyboardInterrupt('stop')\n", -2),
+        ("class Interrupt(KeyboardInterrupt):\n    pass\nraise Interrupt\n", 1),
+        ("import signal\nsignal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})\n"
+         "raise KeyboardInterrupt\n", 130),
+    ], ids=["KeyboardInterrupt", "a subclass", "SIGINT blocked"])
+    def test_an_uncaught_keyboard_interrupt_ends_as_under_the_interpreter(self, ending, status):
+        # The interpreter ends by SIGINT on this exact type, after its exit handlers.
+        source = "import atexit\natexit.register(print, 'ok')\n" + ending
+        forked = judge_one(LocalExecutor(), source)
+        execd = judge_one(executor_for(EXEC_PYTHON), source)
+        assert (forked.verdict, forked.logs) == (execd.verdict, execd.logs)
+        assert forked.verdict is Verdict.RUNTIME_ERROR
+        assert forked.logs.startswith(f"test 0: runtime error (exit {status}); stderr: ")
+        assert forked.per_test[0].actual_prefix == "ok\n"
+
     def test_the_harness_compiler_flags_never_reach_the_program(self, tmp_path):
         source = "def f(x: undefined_name):\n    pass\nprint('defined')\n"
         script = tmp_path / "main.py"

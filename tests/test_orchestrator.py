@@ -10,11 +10,12 @@ import signal
 import sys
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from conftest import CountingSandbox
+from conftest import CountingSandbox, PromptSpy, topology_blocks
 from oracles import graph_reward_oracle
 
 from agentdag import orchestrator
@@ -24,9 +25,10 @@ from agentdag.adapters import (
     LocalExecutor,
     ScriptedPolicy,
     ScriptedRoleBackend,
+    estimate_tokens,
 )
 from agentdag.config import RunConfig
-from agentdag.dsl import ErrorClass, check_topology, parse_topology
+from agentdag.dsl import ErrorClass, check_topology, parse_topology, to_yaml
 from agentdag.orchestrator import (
     NO_CODE_LOG,
     AgentMessage,
@@ -275,11 +277,33 @@ class TestHistoryPrompt:
             RunConfig(max_turns=1),
         )
         result = runner.run(ECHO)
+        (turn,) = result.trajectory.turns
         prompt = render_history_prompt(ECHO, result.trajectory.turns)
-        assert "--- turn 1 ---" in prompt
-        assert "topology:" in prompt and "id: coder" in prompt
-        assert "feedback:" in prompt and "[WRONG_ANSWER]" in prompt
-        assert prompt.rstrip().endswith("Produce an improved topology now.")
+        # The failed turn's topology is shown once, inside its feedback.
+        assert prompt == "\n".join([
+            "Problem echo:", ECHO.description, "",
+            "--- turn 1 ---", "feedback:", turn.observation.prompt_text, "",
+            "Produce an improved topology now.",
+        ])
+        assert "[WRONG_ANSWER]" in prompt
+        assert topology_blocks(prompt) == [to_yaml(turn.doc).rstrip("\n")]
+
+    def test_a_passed_turn_from_a_caller_shows_its_topology(self):
+        # An episode ends at a pass, so only a caller of its own can render one.
+        result = EpisodeRunner(
+            ScriptedPolicy([fenced(PLAN_CODE)]),
+            ScriptedRoleBackend(solutions={"echo": [ECHO_SOLUTION]}),
+            CountingSandbox(),
+            RunConfig(max_turns=1),
+        ).run(ECHO)
+        (turn,) = result.trajectory.turns
+        assert result.status == "PASSED" and turn.observation is None
+        prompt = render_history_prompt(ECHO, result.trajectory.turns)
+        assert prompt == "\n".join([
+            "Problem echo:", ECHO.description, "",
+            "--- turn 1 ---", "topology:", to_yaml(turn.doc).rstrip("\n"), "",
+            "Produce an improved topology now.",
+        ])
 
     def test_invalid_turn_replays_raw_output(self):
         runner = EpisodeRunner(
@@ -295,18 +319,6 @@ class TestHistoryPrompt:
         assert "[NO_YAML_FOUND]" in prompt
 
 
-class PromptSpy:
-    """A policy that records the history prompt of every call, then delegates."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.prompts = []
-
-    def generate(self, problem, history_prompt):
-        self.prompts.append(history_prompt)
-        return self.inner.generate(problem, history_prompt)
-
-
 class TestHistoryRendersEachTopologyOnce:
     def test_k_failed_executed_turns_render_k_topologies(self, monkeypatch):
         calls = []
@@ -319,11 +331,34 @@ class TestHistoryRendersEachTopologyOnce:
                                RunConfig(max_turns=4)).run(ECHO)
         executed = [t for t in result.trajectory.turns if t.doc is not None]
         assert len(executed) == 3 and result.status == "FAILED"
+        # Each executed topology is rendered once, for its feedback.
         assert calls == [t.doc for t in executed]
-        # Rendering every topology afresh gives the prompts the policy saw.
-        fresh = [dataclasses.replace(t, observation=dataclasses.replace(
-                     t.observation, topology_trace="")) for t in result.trajectory.turns]
-        assert policy.prompts == [render_history_prompt(ECHO, fresh[:k]) for k in range(4)]
+        # Each prompt shows every earlier executed topology once: PLAN_ONLY, which
+        # turns 1 and 4 both use, is in the last prompt once, for turn 1.
+        for k, prompt in enumerate(policy.prompts):
+            earlier = [to_yaml(t.doc).rstrip("\n") for t in result.trajectory.turns[:k]
+                       if t.doc is not None]
+            assert Counter(topology_blocks(prompt)) == Counter(earlier), k
+        assert policy.prompts == [render_history_prompt(ECHO, result.trajectory.turns[:k])
+                                  for k in range(4)]
+
+
+class TestPromptTokens:
+    def test_prompt_tokens_count_the_policy_prompts_and_the_role_requests(self):
+        policy = PromptSpy(ScriptedPolicy([fenced(WIDE), "no yaml", fenced(PLAN_CODE)]))
+        roles = SpyBackend(ScriptedRoleBackend(
+            solutions={"echo": [WRONG_SOLUTION, WRONG_SOLUTION, ECHO_SOLUTION]}))
+        result = EpisodeRunner(policy, roles, CountingSandbox(),
+                               RunConfig(max_turns=3)).run(ECHO)
+        assert result.status == "PASSED" and len(policy.prompts) == 3
+        assert max(len(layer) for layer in result.trajectory.turns[0].dag.layers) == 2
+        assert len(roles.requests) == 5
+        # A role request is counted as one text, its system prompt followed by
+        # its message contents with nothing between them.
+        role_tokens = sum(estimate_tokens(r.system + "".join(p.content for p in r.messages))
+                          for r in roles.requests)
+        policy_tokens = sum(estimate_tokens(p) for p in policy.prompts)
+        assert result.token_usage.prompt_tokens == policy_tokens + role_tokens
 
 
 class TestEpisodes:

@@ -7,22 +7,27 @@ formulas. Here each episode of a round runs through ``EpisodeRunner``, the
 rollout round under the real ``LocalExecutor`` and the memory round under
 the benchmark's in-memory ``ReferenceJudge``, and every finished episode is
 checked against the oracle and for its self-turn edges. The round's JSONL
-bytes must not depend on how many episodes run at once.
+bytes must not depend on how many episodes run at once. Every history prompt
+the policy is shown is checked too: each earlier executed topology appears in
+it once, and each earlier invalid turn's raw output is there as it was.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
+from conftest import PromptSpy, topology_blocks
 
 from agentdag import jsonio
 from agentdag.adapters import LocalExecutor, ScriptedPolicy, ScriptedRoleBackend
 from agentdag.config import RunConfig
-from agentdag.orchestrator import EpisodeRunner
+from agentdag.dsl import to_yaml
+from agentdag.orchestrator import EpisodeRunner, truncate_text
 from agentdag.problem import ProblemSpec
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -49,19 +54,37 @@ def check_self_turn_edges(episode: dict) -> None:
         prev = ids
 
 
+def check_history_prompts(prompts: list[str], turns, text_cap: int) -> None:
+    """Prompt k shows, as whole blocks, each topology once for every earlier
+    executed turn that used it (all of them failed, or the episode would have
+    ended), and each earlier invalid turn's raw output under its own header."""
+    for k, prompt in enumerate(prompts):
+        earlier = turns[:k]
+        shown = Counter(topology_blocks(prompt))
+        assert shown == Counter(to_yaml(t.doc).rstrip("\n") for t in earlier
+                                if t.doc is not None), k
+        for t in earlier:
+            if t.doc is None:
+                raw = truncate_text(t.policy_text, text_cap)
+                assert f"--- turn {t.turn} ---\nraw output:\n{raw}\nfeedback:\n" in prompt, \
+                    (k, t.turn)
+
+
 def play(episodes: list, problems: list[ProblemSpec], sandbox, workers: int) -> str:
     """Runs every episode as the benchmark's op does, ``workers`` at a time,
-    checks each against the oracle, and returns the JSONL text in order."""
+    checks each against the oracle and its history prompts, and returns the
+    JSONL text in order."""
     config = RunConfig(max_turns=episodes[0].max_turns, gamma=gen.GAMMA, weights=gen.WEIGHTS)
     roles = ScriptedRoleBackend(
         solutions={ep.problem["id"]: list(ep.solutions) for ep in episodes})
 
     def one(i: int) -> str:
         planted, problem = episodes[i], problems[i]
-        policy = bench.Counted(
-            ScriptedPolicy({problem.id: [t.policy_text for t in planted.turns]}), "generate")
+        spy = PromptSpy(ScriptedPolicy({problem.id: [t.policy_text for t in planted.turns]}))
+        policy = bench.Counted(spy, "generate")
         counted_roles = bench.Counted(roles, "respond")
         result = EpisodeRunner(policy, counted_roles, sandbox, config).run(problem)
+        check_history_prompts(spy.prompts, result.trajectory.turns, config.observation_log_cap)
         line = jsonio.dumps(result.to_dict())
         episode = json.loads(line)
         oracle.check_episode(episode, planted, role_calls=counted_roles.calls,
