@@ -132,16 +132,18 @@ def finish(status):
     atexit = sys.modules.get("atexit")
     if atexit is not None:
         atexit._run_exitfuncs()
-    try:
-        if sys.stdout is not None:
-            sys.stdout.flush()
-    except BaseException:
-        status = 120
-    try:
-        if sys.stderr is not None:
-            sys.stderr.flush()
-    except BaseException:
-        pass
+    # As the interpreter flushes them: it skips a stream that is None or reads
+    # as closed, and a flush that fails makes the exit status 120.
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            closed = stream is None or stream.closed
+        except BaseException:  # a ``closed`` that fails reads as not closed
+            closed = False
+        try:
+            if not closed:
+                stream.flush()
+        except BaseException:
+            status = 120
     return status
 
 

@@ -5,16 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
+# Defined apart, so that the command catches them without loading this module.
+from ..errors import AdapterError, SandboxError
 from ..problem import ProblemSpec, TestCase
 from ..verdicts import ExecOutcome
-
-
-class AdapterError(RuntimeError):
-    """Transport-level failure talking to a policy or role backend."""
-
-
-class SandboxError(RuntimeError):
-    """Sandbox infrastructure failure — distinct from any code verdict."""
 
 
 class ScriptExhausted(ValueError):

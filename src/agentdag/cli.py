@@ -11,11 +11,9 @@ import argparse
 import shlex
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from . import jsonio
-from .adapters.base import AdapterError, PolicyAdapter, RoleBackend, SandboxError
-from .config import ConfigError, RunConfig, load_config, parse_weights
 from .corpus import (
     CorpusFilterConfig,
     corpus_stats,
@@ -24,14 +22,18 @@ from .corpus import (
     write_corpus,
 )
 from .dsl import CheckResult, ErrorClass, check_topology, check_yaml, fenced_blocks
+from .errors import AdapterError, ConfigError, SandboxError
 from .graph import cost_estimate, decode_topology, density_from_counts, density_scores
-from .problem import ProblemSpec, iter_problems, load_problem
 from .roles import DEFAULT_ROLE_POOL
-from .verdicts import Verdict
 
-# Modules that only some commands need (the orchestrator, the judge, the
-# remote transport, rewards) are imported inside those commands, so that
-# `validate` and `corpus` start without them.
+if TYPE_CHECKING:
+    from .adapters.base import PolicyAdapter, RoleBackend
+    from .config import RunConfig
+
+# Modules that only some commands need (the configuration, the problems and
+# verdicts, the orchestrator, the judge, the remote transport, rewards) are
+# imported inside those commands, so that `validate`, `score` and `corpus`
+# start without them.
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -124,7 +126,9 @@ def _cmd_score(args: argparse.Namespace) -> int:
 # -- reward -------------------------------------------------------------------
 
 def _cmd_reward(args: argparse.Namespace) -> int:
+    from .config import parse_weights
     from .rewards import trajectory_return, turn_reward
+    from .verdicts import Verdict
 
     data = jsonio.loads(_read_text(args.file), args.file)
     if not isinstance(data, dict):
@@ -273,12 +277,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from concurrent.futures import ThreadPoolExecutor
 
     from .adapters.sandbox import LocalExecutor
+    from .config import load_config
     from .orchestrator import EpisodeRunner
+    from .problem import iter_problems, load_problem
 
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     config = load_config(args.config)
-    problems: list[ProblemSpec] = [load_problem(p) for p in args.problem or []]
+    problems = [load_problem(p) for p in args.problem or []]
     if args.problems:
         problems.extend(iter_problems(args.problems))
     if not problems:
@@ -439,13 +445,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        _fail(str(exc))
-        return EXIT_USAGE
     except (AdapterError, SandboxError) as exc:
         _fail(str(exc))
         return EXIT_INFRA
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError among them
         _fail(str(exc))
         return EXIT_USAGE
 

@@ -9,12 +9,9 @@ from types import MappingProxyType
 from typing import Any, Mapping
 
 from .dsl import TopologyError, load_yaml
+from .errors import ConfigError
 from .jsonio import as_float, as_int
 from .roles import DEFAULT_ROLE_POOL, ROLE_PROMPTS
-
-
-class ConfigError(ValueError):
-    """Invalid or unreadable run configuration (a usage error, not a bug)."""
 
 
 DEFAULT_POLICY_PROMPT = (

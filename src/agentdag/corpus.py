@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .config import ConfigError
 from .dsl import (
     ErrorClass,
     TopologyDoc,
@@ -23,6 +22,7 @@ from .dsl import (
     parse_topology,
     validate_logic,
 )
+from .errors import ConfigError
 from .graph import DensityReport, LayeredDag, decode_topology, density_scores, n_max_nodes
 from .jsonio import as_int, as_str, read_jsonl, write_jsonl
 from .roles import DEFAULT_ROLE_POOL

@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import json
 import re
+from _thread import allocate_lock  # threading.Lock, without importing threading (~1 ms)
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import AbstractSet, Sequence
-
-import yaml
 
 from .roles import DEFAULT_ROLE_POOL
 
@@ -252,28 +251,50 @@ def _read_plain(text: str):
 _MAX_DEPTH = 64
 _TOO_DEEP = "document nests too deeply for the YAML loader"
 
+# PyYAML and the depth-bound loader class, once a text or a document outside
+# the plain form needs them: importing PyYAML costs more than reading most
+# topologies, and a plain text never needs it.
+_pyyaml_loaded: tuple | None = None
+_pyyaml_lock = allocate_lock()
 
-class _DepthBoundLoader(yaml.SafeLoader):
-    """The pure SafeLoader, refusing documents nested deeper than _MAX_DEPTH nodes."""
 
-    _depth = 0
+def _pyyaml():
+    """``(yaml, loader)``: PyYAML, imported on the first call in a process,
+    and the depth-bound loader class, built once whatever the threads."""
+    global _pyyaml_loaded
+    if _pyyaml_loaded is None:
+        with _pyyaml_lock:
+            if _pyyaml_loaded is None:
+                _pyyaml_loaded = _import_pyyaml()
+    return _pyyaml_loaded
 
-    def fetch_flow_collection_start(self, TokenClass):
-        # The scanner walks every open flow level's possible simple key for
-        # each token it reads, so a deep flow text is refused as it opens,
-        # before the composer sees it.
-        if self.flow_level == _MAX_DEPTH:
-            raise TopologyError(ErrorClass.YAML_PARSE_ERROR, _TOO_DEEP)
-        super().fetch_flow_collection_start(TokenClass)
 
-    def compose_node(self, parent, index):
-        if self._depth == _MAX_DEPTH:
-            raise TopologyError(ErrorClass.YAML_PARSE_ERROR, _TOO_DEEP)
-        self._depth += 1
-        try:
-            return super().compose_node(parent, index)
-        finally:
-            self._depth -= 1
+def _import_pyyaml():
+    import yaml
+
+    class _DepthBoundLoader(yaml.SafeLoader):
+        """The pure SafeLoader, refusing documents nested deeper than _MAX_DEPTH nodes."""
+
+        _depth = 0
+
+        def fetch_flow_collection_start(self, TokenClass):
+            # The scanner walks every open flow level's possible simple key for
+            # each token it reads, so a deep flow text is refused as it opens,
+            # before the composer sees it.
+            if self.flow_level == _MAX_DEPTH:
+                raise TopologyError(ErrorClass.YAML_PARSE_ERROR, _TOO_DEEP)
+            super().fetch_flow_collection_start(TokenClass)
+
+        def compose_node(self, parent, index):
+            if self._depth == _MAX_DEPTH:
+                raise TopologyError(ErrorClass.YAML_PARSE_ERROR, _TOO_DEEP)
+            self._depth += 1
+            try:
+                return super().compose_node(parent, index)
+            finally:
+                self._depth -= 1
+
+    return yaml, _DepthBoundLoader
 
 
 def load_yaml(yaml_text: str):
@@ -286,7 +307,9 @@ def load_yaml(yaml_text: str):
     if data is not None:
         return data
     try:
-        return yaml.load(yaml_text, Loader=_DepthBoundLoader)
+        # Inside the try: on a caller's deep stack the import may recurse too far.
+        yaml, loader = _pyyaml()
+        return yaml.load(yaml_text, Loader=loader)
     except RecursionError:  # a caller already deep in its own stack
         raise TopologyError(ErrorClass.YAML_PARSE_ERROR, _TOO_DEEP) from None
     except yaml.YAMLError as exc:
@@ -529,6 +552,7 @@ def to_yaml(doc: TopologyDoc) -> str:
                 _plain(agent.id) and _plain(agent.role) and all(map(_plain, agent.refs))
                 for agent in step.agents)
             for step in doc.steps)):
+        yaml, _ = _pyyaml()
         return yaml.safe_dump(doc_to_mapping(doc), sort_keys=False, default_flow_style=False)
     lines = [f"difficulty: {doc.difficulty}", "steps:"]
     for step in doc.steps:

@@ -1107,6 +1107,119 @@ class TestPythonInTheFork:
         assert outcome.logs.endswith("NameError: name 'undefined_name' is not defined")
 
 
+# -- the fork path against the interpreter it stands in for ----------------------
+
+# How a generated program ends. ``{code}`` is an exit status and ``{n}`` a
+# number, both drawn per program.
+ENDINGS = {
+    "end of file": "",
+    "sys.exit(int)": "import sys\nsys.exit({code})\n",
+    "sys.exit(str)": "import sys\nsys.exit('bye {n}')\n",
+    "sys.exit(None)": "import sys\nsys.exit(None)\n",
+    "exit()": "exit({code})\n",
+    "Exception subclass": "class Failure(ValueError):\n    pass\nraise Failure({n})\n",
+    "BaseException subclass": "class Abort(BaseException):\n    pass\nraise Abort({n})\n",
+    "os._exit after a flush": "import os, sys\nsys.stdout.flush()\nos._exit({code})\n",
+    "os._exit without a flush": "import os\nos._exit({code})\n",
+    "a signal": "import os, signal\nos.kill(os.getpid(), signal.SIGTERM)\n",
+    "stdin read past EOF": "input()\ninput()\n",
+    "a large output": "print('x' * {n}000)\n",
+    "deep recursion": "def down(n):\n    return down(n + 1)\ndown(0)\n",
+    "MemoryError": "x = bytearray(512 * 1024 * 1024)\n",
+    "sys.exit on a MemoryError": "import sys\ntry:\n    x = bytearray(512 * 1024 * 1024)\n"
+                                 "except MemoryError:\n    sys.exit({code})\n",
+}
+# What may run before the ending, each drawn or not per program. The thread
+# prints once the main thread has ended, as the interpreter's shutdown joins it.
+PRELUDES = (
+    "print({n})\n",
+    "import atexit\n@atexit.register\ndef at_exit():\n    print('at exit {n}')\n",
+    "import threading\nthreading.Thread(target=lambda: (threading.main_thread().join(),\n"
+    "                                  print('thread {n}'))).start()\n",
+    "import sys\nprint({n})\nsys.stdout.close()\n",
+)
+# Where the paths differ by design: the README sentence that says so, and
+# what each path gives.
+KNOWN_DIFFERENCES = {
+    "exit()": ("`exit()` and `quit()` work, although `-S` would leave them out",
+               lambda fork, execd: execd[:2] == ("RUNTIME_ERROR", (1,))
+               and "NameError: name 'exit' is not defined" in execd[2]),
+    "sys.exit on a MemoryError": (
+        "On the fork path, a nonzero exit is `MEMORY_LIMIT_EXCEEDED` only when the program "
+        "ended with an uncaught `MemoryError`, or with a `SystemExit` raised while it "
+        "handled one",
+        lambda fork, execd: (fork[0], execd[0]) == ("MEMORY_LIMIT_EXCEEDED", "RUNTIME_ERROR")
+        and fork[1] == execd[1]),
+    "syntax": ("an exec'd `python` command without a `compile_cmd` judges a syntax error "
+               "`RUNTIME_ERROR`, like any program that exits 1",
+               lambda fork, execd: (fork[0], execd[0]) == ("COMPILATION_ERROR", "RUNTIME_ERROR")
+               and set(execd[1]) == {1}),
+}
+README_TEXT = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+# A repr names an object's address, which no two processes share.
+ADDRESS = re.compile(r" at 0x[0-9a-f]+")
+
+
+@pytest.fixture
+def on_both_paths(monkeypatch):
+    """Judges a program in the fork and exec'd, and checks that both end it
+    alike: the same verdict, exit statuses and log, or the known difference
+    its ``kind`` names."""
+    statuses: list = []
+    run_harness = LocalExecutor._run_harness
+
+    def recording(self, *args):
+        results, ending = run_harness(self, *args)
+        statuses.append(tuple(result[0] for result in results))
+        return results, ending
+
+    monkeypatch.setattr(LocalExecutor, "_run_harness", recording)
+    executors = LocalExecutor(), executor_for(EXEC_PYTHON)
+
+    def check(kind: str, source: str, tests: list[TestCase]) -> None:
+        outcomes = []
+        for executor in executors:
+            outcome = executor.execute(source, "python", tests, time_limit_ms=4000,
+                                       memory_limit_mb=256)
+            outcomes.append((outcome.verdict.value, statuses.pop(),
+                             ADDRESS.sub(" at 0x…", outcome.logs)))
+        if kind in KNOWN_DIFFERENCES:
+            sentence, expected = KNOWN_DIFFERENCES[kind]
+            assert sentence in README_TEXT
+            assert outcomes[0] != outcomes[1] and expected(*outcomes), (source, outcomes)
+        else:
+            assert outcomes[0] == outcomes[1], source
+
+    return check
+
+
+def generated_program(rng: random.Random, ending: str) -> str:
+    values = {"code": rng.choice((0, 1, 3, 255, 256, -1)), "n": rng.randint(70, 300)}
+    preludes = [p for p in PRELUDES if rng.random() < 0.4]
+    return "".join(preludes + [ENDINGS[ending]]).format(**values)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_the_fork_ends_a_program_as_the_interpreter_does(seed, on_both_paths):
+    rng = random.Random(seed)
+    for ending in ENDINGS:
+        on_both_paths(ending, generated_program(rng, ending), [TestCase("5\n", "ok\n")])
+
+
+def test_the_benchmarks_candidates_end_alike_on_both_paths(on_both_paths):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import gen
+
+    judged = {}  # each program once, with the tests of the first problem it meets
+    for episode in gen.rollout_round(1):
+        tests = [TestCase(t["input"], t["expected_output"]) for t in episode.problem["tests"]]
+        for turn, source in zip(episode.turns, episode.solutions):
+            if turn.kind in gen.CANDIDATE_VERDICTS and source not in judged:
+                on_both_paths(turn.kind, source, tests)
+                judged[source] = turn.kind
+    assert set(judged.values()) == set(gen.CANDIDATE_VERDICTS)
+
+
 class TestPythonSyntaxCheck:
     """A program run in the fork is compiled there, once per test, as the
     interpreter compiles a file; an error of that compile, and only that, is

@@ -453,8 +453,9 @@ class TestDeepNesting:
         # bound of its own it walks 1,024 characters of a deep text before the
         # composer sees a node: some 2,900 calls here, a quarter of a second.
         calls = []
-        stale = dsl._DepthBoundLoader.stale_possible_simple_keys
-        monkeypatch.setattr(dsl._DepthBoundLoader, "stale_possible_simple_keys",
+        _, loader = dsl._pyyaml()
+        stale = loader.stale_possible_simple_keys
+        monkeypatch.setattr(loader, "stale_possible_simple_keys",
                             lambda loader: calls.append(1) or stale(loader))
         result = check_yaml(opener * 20_000 + "0" + closer * 20_000)
         assert result.detail == self.TOO_DEEP

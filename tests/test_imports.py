@@ -21,7 +21,7 @@ import yaml
 
 import agentdag
 import agentdag.adapters
-from agentdag import cli
+from agentdag import cli, dsl
 from agentdag.adapters import ScriptedPolicy, ScriptedRoleBackend
 from agentdag.config import RunConfig
 from agentdag.orchestrator import EpisodeRunner
@@ -281,12 +281,14 @@ def test_importing_the_orchestrator_starts_no_thread():
 
 
 # What `validate` and `corpus filter` must start without: the episode engine,
-# the judge, the remote transport and the modules they bring in.
+# the judge, the remote transport, the configuration, problems and verdicts,
+# the modules they bring in, and PyYAML while every text is in the plain form.
 NOT_FOR_VALIDATE_OR_CORPUS = {
     "agentdag.orchestrator", "agentdag.rewards", "agentdag.adapters.remote",
     "agentdag.adapters.sandbox", "agentdag.adapters.scripted", "concurrent.futures",
     "urllib.request", "http.client", "subprocess", "tempfile", "statistics", "fractions",
-    "hashlib",
+    "hashlib", "yaml", "agentdag.config", "agentdag.adapters.base", "agentdag.problem",
+    "agentdag.verdicts",
 }
 
 VALID_TOPOLOGY = """\
@@ -313,6 +315,54 @@ def test_a_command_loads_only_what_it_uses(command, tmp_path):
     assert code == 0
     assert "agentdag.dsl" in modules  # the command really ran
     assert modules & NOT_FOR_VALIDATE_OR_CORPUS == set()
+
+
+# Texts the plain reader declines: PyYAML reads them, with the classes and
+# details it always gave.
+NOT_PLAIN = {
+    "difficulty: [\n": ("YAML_PARSE_ERROR", "while parsing a flow node"),
+    VALID_TOPOLOGY.replace("- id: planner\n        role: planning\n        ref: []",
+                           "- {id: planner, role: planning, ref: []}"): ("ok", None),
+}
+
+
+@pytest.mark.parametrize("text", NOT_PLAIN, ids=["parse error", "flow mapping agent"])
+def test_validate_loads_pyyaml_for_a_text_outside_the_plain_form(text, tmp_path):
+    topology = tmp_path / "topology.yaml"
+    topology.write_text(text, encoding="utf-8")
+    body = ("import contextlib, io, json\nfrom agentdag.cli import main\nout = io.StringIO()\n"
+            f"with contextlib.redirect_stdout(out):\n    main(['validate', {str(topology)!r}])\n"
+            "result = json.loads(out.getvalue())")
+    payload, modules = modules_loaded_by(body)
+    assert (payload["class"], payload["detail"]) == NOT_PLAIN[text]
+    assert "yaml" in modules
+    assert modules & NOT_FOR_VALIDATE_OR_CORPUS == {"yaml"}
+
+
+def test_the_first_pyyaml_use_from_many_threads_builds_one_loader():
+    # Eight threads classify texts outside the plain form at once, in a
+    # process that has not loaded PyYAML: each must import it, or wait for it.
+    texts = [f"difficulty: {value}\nsteps: []\n" for value in
+             ("[", "{a: 1", "'x", "01", "~", "[1, 2]", "!!str 1", "*alias")]
+    assert not any(map(dsl._read_plain, texts))
+    body = (f"import threading\nfrom agentdag import dsl\ntexts = {texts!r}\n"
+            "assert 'yaml' not in sys.modules\nsys.setswitchinterval(1e-6)\n"
+            "results, start = [None] * len(texts), threading.Barrier(len(texts))\n"
+            "def classify(i):\n"
+            "    start.wait()\n"
+            "    r = dsl.check_yaml(texts[i])\n"
+            "    results[i] = (r.error_class.value, r.detail)\n"
+            "threads = [threading.Thread(target=classify, args=(i,)) for i in range(len(texts))]\n"
+            "for t in threads: t.start()\n"
+            "for t in threads: t.join(30)\n"
+            "import yaml\n"
+            "result = results, [c.__qualname__ for c in yaml.SafeLoader.__subclasses__()\n"
+            "                   if c.__module__ == 'agentdag.dsl']")
+    (results, loaders), _ = modules_loaded_by(body)
+    sequential = [(r.error_class.value, r.detail) for r in map(dsl.check_yaml, texts)]
+    assert results == sequential
+    assert len(set(results)) > 3  # the texts reach different outcomes
+    assert len(loaders) == 1
 
 
 # The names perfbench's traced runs (``perfbench/run.py --trace 1`` and
@@ -380,18 +430,25 @@ HOT_PATH_MODULES = ("orchestrator.py", "dsl.py", "graph.py", "rewards.py", "json
 
 
 def function_level_imports(path: Path) -> list[str]:
+    """``PATH:LINE: MODULE`` for each import inside a function of ``path``."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = set()
     for function in ast.walk(tree):
         if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            found.update(f"{path.relative_to(PACKAGE_ROOT)}:{node.lineno}"
+            found.update(f"{path.relative_to(PACKAGE_ROOT)}:{node.lineno}: {name}"
                          for node in ast.walk(function)
-                         if isinstance(node, (ast.Import, ast.ImportFrom)))
+                         if isinstance(node, (ast.Import, ast.ImportFrom))
+                         for name in ([a.name for a in node.names] if isinstance(node, ast.Import)
+                                      else ["." * node.level + (node.module or "")]))
     return sorted(found)
 
 
 def test_hot_path_modules_import_nothing_inside_functions():
     offenders = [hit for name in HOT_PATH_MODULES
                  for hit in function_level_imports(PACKAGE_ROOT / name)]
-    assert offenders == []
+    # The one exception: dsl imports PyYAML the first time a text or document
+    # outside the plain form needs it, so that a command given plain texts
+    # never loads it. An episode pays it once per process, not once per turn.
+    lazy = [hit for hit in offenders if hit.startswith("dsl.py:") and hit.endswith(": yaml")]
+    assert len(lazy) == 1 and offenders == lazy
     assert function_level_imports(PACKAGE_ROOT / "cli.py")  # the check sees real uses
