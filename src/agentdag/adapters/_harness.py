@@ -1,6 +1,6 @@
 """The judge harness, run as ``python3 -I -S`` on this file: a long-lived
-process, the judge's only launcher, that runs one job per compile step or
-candidate, and imports nothing of agentdag.
+process, the package's only launcher, that runs one job per compile step,
+candidate or corpus validator call, and imports nothing of agentdag.
 
 Both ways it speaks in frames, a marshalled value after its size in 8
 little-endian bytes, spelled out only here: the judge writes a setup with
@@ -144,6 +144,15 @@ def finish(status):
                 stream.flush()
         except BaseException:
             status = 120
+    # The teardown would also flush an original stream the program replaced,
+    # ignoring a flush that fails.
+    for stream in (sys.__stdout__, sys.__stderr__):
+        if stream is not sys.stdout and stream is not sys.stderr:
+            try:
+                if not stream.closed:
+                    stream.flush()
+            except BaseException:
+                pass
     return status
 
 

@@ -206,6 +206,19 @@ class LocalExecutor:
         with self._workers:
             return self._judge(source, tag, spec, tests, time_limit_ms, memory_limit_mb)
 
+    def run(self, argv: Sequence[str], stdin: bytes, *, cwd: str, limit_s: float, what: str,
+            step: str) -> tuple[int | None, str, str]:
+        """Runs ``argv`` exec'd in ``cwd`` on ``stdin`` as a harness job of one test, under
+        the caller's own address-space limit and outside the worker cap: its exit code, or
+        None past ``limit_s``, and its stdout and stderr, decoded. Raises SandboxError when
+        the program (``what``) cannot start, or when its harness ends during ``step``."""
+        results, ending = self._run_harness(False, list(argv), cwd, [stdin], limit_s,
+                                            resource.getrlimit(resource.RLIMIT_AS)[0], what)
+        if not results:
+            raise SandboxError(f"judge harness ended during {step} ({ending})")
+        returncode, out, err, _ = results[0]
+        return returncode, _decode(out), _decode(err)
+
     # -- internals ----------------------------------------------------------
 
     def _judge(self, source: str, tag: str, spec: LanguageSpec, tests: Sequence[TestCase],
@@ -253,23 +266,18 @@ class LocalExecutor:
 
     def _compile(self, tag: str, spec: LanguageSpec, workdir: str,
                  paths: dict[str, str]) -> str | None:
-        """Runs the language's compile step, if any, as a harness job of one
-        test with no input: the log line of its failure, else None."""
+        """Runs the language's compile step, if any, with no input: the log
+        line of its failure, else None."""
         if spec.compile_cmd is None:
             return None
         cmd = [arg.format(**paths) for arg in spec.compile_cmd]
         with self._compile_locks[tag]:
-            # Under no address-space limit but the judge's own.
-            results, ending = self._run_harness(
-                False, cmd, workdir, [b""], _COMPILE_TIMEOUT_S,
-                resource.getrlimit(resource.RLIMIT_AS)[0], f"compiler {cmd[0]!r}")
-        if not results:
-            raise SandboxError(f"judge harness ended during the compile step ({ending})")
-        returncode, _, err, _ = results[0]
+            returncode, _, err = self.run(cmd, b"", cwd=workdir, limit_s=_COMPILE_TIMEOUT_S,
+                                          what=f"compiler {cmd[0]!r}", step="the compile step")
         if returncode is None:
             return f"compilation timed out after {_COMPILE_TIMEOUT_S:g} s"
         if returncode != 0:
-            return f"compilation failed (exit {returncode}): {_clip(_decode(err), 800)}"
+            return f"compilation failed (exit {returncode}): {_clip(err, 800)}"
         return None
 
     def _run_harness(self, in_fork: bool, argv: list[str], workdir: str, inputs: list[bytes],

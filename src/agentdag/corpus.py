@@ -10,6 +10,7 @@ stable under refiltering.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -22,7 +23,7 @@ from .dsl import (
     parse_topology,
     validate_logic,
 )
-from .errors import ConfigError
+from .errors import ConfigError, SandboxError
 from .graph import DensityReport, LayeredDag, decode_topology, density_scores, n_max_nodes
 from .jsonio import as_int, as_str, read_jsonl, write_jsonl
 from .roles import DEFAULT_ROLE_POOL
@@ -123,18 +124,18 @@ class _Accepted:
     density: DensityReport
 
 
-def _run_validator(cmd: Sequence[str], yaml_text: str) -> tuple[bool, str]:
-    import subprocess  # only when a validator is configured
-
+def _run_validator(executor, cmd: Sequence[str], yaml_text: str) -> tuple[bool, str]:
     try:
-        proc = subprocess.run(
-            list(cmd), input=yaml_text, capture_output=True, text=True, timeout=60,
-        )
-    except (OSError, subprocess.TimeoutExpired) as exc:
+        # A full path, not ".": the judge takes it and its separator out of stderr.
+        returncode, out, err = executor.run(cmd, yaml_text.encode("utf-8"), cwd=os.getcwd(),
+                                            limit_s=60, what="the validator", step="the validator")
+    except SandboxError as exc:
         raise ConfigError(f"validator command {cmd!r} failed to run: {exc}") from exc
-    if proc.returncode == 0:
+    if returncode is None:
+        raise ConfigError(f"validator command {cmd!r} failed to run: timed out after 60 s")
+    if returncode == 0:
         return True, ""
-    detail = proc.stderr.strip() or proc.stdout.strip() or f"exit {proc.returncode}"
+    detail = err.strip() or out.strip() or f"exit {returncode}"
     return False, detail.splitlines()[0][:200]
 
 
@@ -144,6 +145,9 @@ def _filter(records: Sequence[CorpusRecord],
     accepted: list[_Accepted] = []
     accepted_by_id: dict[str, _Accepted] = {}
     seen_forms: set[bytes] = set()
+    if config.validator_cmd is not None:
+        from .adapters.sandbox import LocalExecutor  # only when a validator is configured
+        executor = LocalExecutor()
 
     def reject(record: CorpusRecord, reason: str, detail: str) -> None:
         outcomes.append(RecordOutcome(record.id, accepted=False, reason=reason, detail=detail))
@@ -198,7 +202,7 @@ def _filter(records: Sequence[CorpusRecord],
             continue
 
         if config.validator_cmd is not None:
-            ok, detail = _run_validator(config.validator_cmd, record.yaml_text)
+            ok, detail = _run_validator(executor, config.validator_cmd, record.yaml_text)
             if not ok:
                 reject(record, "logic", f"external validator: {detail}")
                 continue

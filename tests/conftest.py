@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import os
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -21,6 +23,23 @@ _TOPOLOGY_BLOCK = re.compile(
 
 settings.register_profile("ci", deadline=None, max_examples=60)
 settings.load_profile("ci")
+
+
+def live_session_members(sid: int) -> list[int]:
+    """Pids of the processes in session ``sid`` that have not exited."""
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path("/proc", entry, "stat").read_text()
+        except OSError:  # exited while we looked
+            continue
+        fields = stat.rsplit(")", 1)[1].split()
+        state, session = fields[0], int(fields[3])
+        if session == sid and state not in ("Z", "X"):
+            members.append(int(entry))
+    return members
 
 
 class CountingSandbox:

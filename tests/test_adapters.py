@@ -26,6 +26,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import live_session_members
+
 import agentdag
 from agentdag import jsonio
 from agentdag.adapters import (
@@ -300,23 +302,6 @@ class TestLocalExecutor:
         outcome = executor.execute("print(input())", None, ECHO_PROBLEM.tests,
                                    time_limit_ms=4000, memory_limit_mb=256)
         assert outcome.verdict is Verdict.PASSED
-
-
-def live_session_members(sid: int) -> list[int]:
-    """Pids of the processes in session ``sid`` that have not exited."""
-    members = []
-    for entry in os.listdir("/proc"):
-        if not entry.isdigit():
-            continue
-        try:
-            stat = Path("/proc", entry, "stat").read_text()
-        except OSError:  # exited while we looked
-            continue
-        fields = stat.rsplit(")", 1)[1].split()
-        state, session = fields[0], int(fields[3])
-        if session == sid and state not in ("Z", "X"):
-            members.append(int(entry))
-    return members
 
 
 class TestJudgeIsolation:
@@ -1218,6 +1203,23 @@ def test_the_benchmarks_candidates_end_alike_on_both_paths(on_both_paths):
                 on_both_paths(turn.kind, source, tests)
                 judged[source] = turn.kind
     assert set(judged.values()) == set(gen.CANDIDATE_VERDICTS)
+
+
+# Programs that replace a standard stream: the interpreter's heap teardown
+# flushes the original one, which holds what the program printed before.
+REPLACED_STREAMS = {
+    "stdout set to None": "import sys\nprint('ok')\nsys.stdout = None\n",
+    "stdout set to a StringIO": "import io, sys\nprint('ok')\nsys.stdout = io.StringIO()\n",
+    "stderr set to None": "import sys\nsys.stderr.write('e')\nsys.stderr = None\nsys.exit(1)\n",
+    "stdout closed under a replacement": "import os, sys\nprint('ok')\nsys.stdout = None\n"
+                                         "os.close(1)\n",
+}
+
+
+@pytest.mark.parametrize("source", REPLACED_STREAMS.values(), ids=REPLACED_STREAMS)
+def test_a_program_that_replaces_a_standard_stream_ends_alike_on_both_paths(source,
+                                                                          on_both_paths):
+    on_both_paths("replaced stream", source, [TestCase("", "ok\n")])
 
 
 class TestPythonSyntaxCheck:

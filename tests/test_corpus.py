@@ -2,8 +2,20 @@
 
 from __future__ import annotations
 
+import json
+import os
+import shlex
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
+from conftest import live_session_members
+
+import agentdag
+from agentdag.cli import main
 from agentdag.config import ConfigError
 from agentdag.corpus import (
     REASONS,
@@ -240,6 +252,90 @@ class TestExternalValidator:
         config = CorpusFilterConfig(validator_cmd=("/no/such/binary",))
         with pytest.raises(ConfigError):
             filter_corpus([rec("r1", chain_yaml(["n1"]))], config)
+
+
+class TestValidatorSupervision:
+    """A validator runs as a job of the judge's harness: with only ``PATH`` and
+    ``LANG`` of the caller's environment, in a session whose group is killed
+    when it exits, and with its output read as it comes and capped."""
+
+    def filter_cli(self, tmp_path, records: list[CorpusRecord], validator: list[str]):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(json.dumps(r.to_dict()) + "\n" for r in records),
+                          encoding="utf-8")
+        report = tmp_path / "report.json"
+        code = main(["corpus", "filter", str(corpus), str(tmp_path / "out.jsonl"),
+                     "--report", str(report), "--validator", shlex.join(validator)])
+        return code, report
+
+    def test_the_callers_environment_stays_out_of_the_detail_and_report(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("AGENTDAG_TEST_SECRET", "sk-leak")
+        code, report = self.filter_cli(tmp_path, [rec("r1", chain_yaml(["n1"]))],
+                                       ["sh", "-c", 'echo "$AGENTDAG_TEST_SECRET" >&2; exit 1'])
+        assert code == 0
+        text = report.read_text(encoding="utf-8")
+        assert json.loads(text)["outcomes"][0]["detail"] == "external validator: exit 1"
+        assert "sk-leak" not in text + capsys.readouterr().out
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs procfs")
+    def test_a_child_the_validator_leaves_is_killed_and_does_not_hold_it(self, tmp_path):
+        session = tmp_path / "session"
+        config = CorpusFilterConfig(validator_cmd=(
+            "sh", "-c", f"sleep 8 & echo $$ > {session}; exit 1"))
+        started = time.monotonic()
+        report, _ = filter_corpus([rec("r1", chain_yaml(["n1"]))], config)
+        assert time.monotonic() - started < 1
+        assert report.outcomes[0].detail == "external validator: exit 1"
+        sid = int(session.read_text())  # the validator leads the session
+        deadline = time.monotonic() + 1
+        while live_session_members(sid) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert live_session_members(sid) == []
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs procfs")
+    def test_a_validator_that_floods_stdout_keeps_the_caller_memory_bounded(self):
+        # In a caller of its own, which reads its peak RSS from its address space.
+        script = (
+            "from agentdag.corpus import CorpusFilterConfig, CorpusRecord, filter_corpus\n"
+            "def peak():\n"
+            "    return int(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
+            "def validate(command):\n"
+            f"    record = CorpusRecord('r1', 'p1', 1, 1, {chain_yaml(['n1'])!r})\n"
+            "    config = CorpusFilterConfig(validator_cmd=('sh', '-c', command))\n"
+            "    return filter_corpus([record], config)[0].outcomes[0].detail\n"
+            "validate('exit 1')\n"
+            "before = peak()\n"
+            "detail = validate('head -c 50000000 /dev/zero; exit 1')\n"
+            "print(len(detail), peak() - before)\n"
+        )
+        src_root = str(Path(agentdag.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src_root), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        detail_chars, rise_kb = map(int, proc.stdout.split())
+        assert detail_chars == len("external validator: ") + 200
+        assert rise_kb < 10 * 1024
+
+    def test_bytes_that_are_not_utf8_reject_only_their_record(self, tmp_path):
+        records = [rec("good", chain_yaml(["n1"])), rec("bad", chain_yaml(["bad1"]))]
+        code, report = self.filter_cli(tmp_path, records, [
+            "sh", "-c", "if grep -q bad1; then printf '\\377' >&2; exit 1; fi"])
+        assert code == 0
+        payload = json.loads(report.read_text(encoding="utf-8"))
+        assert payload["accepted"] == 1
+        assert payload["outcomes"][1] == {"id": "bad", "status": "rejected", "reason": "logic",
+                                          "detail": "external validator: \ufffd"}
+
+    def test_a_validator_named_by_a_relative_path_runs_in_the_callers_directory(
+            self, tmp_path, monkeypatch):
+        (tmp_path / "check.py").write_text(
+            "import sys\nsys.exit(f'checked {len(sys.stdin.read())} chars')\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        yaml_text = chain_yaml(["n1"])
+        report, _ = filter_corpus([rec("r1", yaml_text)],
+                                  CorpusFilterConfig(validator_cmd=("python3", "check.py")))
+        assert report.outcomes[0].detail == f"external validator: checked {len(yaml_text)} chars"
 
 
 class TestReportShape:

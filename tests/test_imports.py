@@ -163,16 +163,50 @@ def test_no_module_names_pyyamls_libyaml_classes():
                          "D = getattr(yaml, 'CSafeDumper', None)\nCSafeLoader\n") == [1, 2, 3, 4]
 
 
-# The judge has one way to start a process: every compile step and every test
-# runs in a process that a harness forks. So its own module never imports the
-# second launcher that ``subprocess`` would be.
-def test_the_sandbox_does_not_import_subprocess():
-    tree = ast.parse((PACKAGE_ROOT / "adapters" / "sandbox.py").read_text(encoding="utf-8"))
-    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-                for alias in node.names}
-    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    assert "os" in imported  # the check sees real imports
-    assert "subprocess" not in imported
+# The package has one way to start a process: the judge spawns its harness,
+# and every compile step, test and corpus validator runs in a process that a
+# harness forks and, unless it runs a Python file itself, execs. No module
+# imports a second launcher or calls another of ``os``'s.
+LAUNCHER_MODULES = {"subprocess", "multiprocessing", "pty"}
+OS_LAUNCHERS = ("system", "popen", "spawn", "fork", "exec", "posix_spawn")
+
+
+def process_launches(source: str) -> list[str]:
+    """The launcher modules that ``source`` imports and the ``os`` functions
+    that start a process which it names, sorted."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module or ""]
+            if node.module == "os":
+                found.update(f"os.{alias.name}" for alias in node.names
+                             if alias.name.startswith(OS_LAUNCHERS))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "os" and node.attr.startswith(OS_LAUNCHERS)):
+            found.add(f"os.{node.attr}")
+            continue
+        else:
+            continue
+        found.update(name for name in modules if name.split(".")[0] in LAUNCHER_MODULES)
+    return sorted(found)
+
+
+def test_only_the_judge_starts_processes():
+    launches = {str(path.relative_to(PACKAGE_ROOT)): process_launches(path.read_text("utf-8"))
+                for path in sorted(PACKAGE_ROOT.rglob("*.py"))}
+    assert {name: found for name, found in launches.items() if found} == {
+        "adapters/_harness.py": ["os.execvp", "os.fork"],
+        "adapters/sandbox.py": ["os.posix_spawn"],
+    }
+    # The check sees each kind of launch.
+    assert process_launches(
+        "import subprocess, multiprocessing.pool\nfrom pty import spawn\n"
+        "from os import system, forkpty\nos.popen('x')\nos.spawnlp(0, 'x')\n"
+        "os.POSIX_SPAWN_DUP2\n") == [
+            "multiprocessing.pool", "os.forkpty", "os.popen", "os.spawnlp", "os.system", "pty",
+            "subprocess"]
 
 
 # What the judge harness may import. A harness no longer starts once per
@@ -316,6 +350,17 @@ def test_a_command_loads_only_what_it_uses(command, tmp_path):
     assert "agentdag.dsl" in modules  # the command really ran
     assert modules & NOT_FOR_VALIDATE_OR_CORPUS == set()
 
+
+def test_a_validator_runs_on_the_judge_harness_without_subprocess(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps(
+        {"id": "r1", "problem_id": "p", "yaml_text": VALID_TOPOLOGY}) + "\n", encoding="utf-8")
+    argv = ["corpus", "filter", str(corpus), str(tmp_path / "out.jsonl"), "--validator",
+            "/bin/true"]
+    code, modules = modules_loaded_by(f"from agentdag.cli import main\nresult = main({argv!r})")
+    assert code == 0
+    assert "subprocess" not in modules
+    assert "agentdag.adapters.sandbox" in modules  # the validator really ran there
 
 # Texts the plain reader declines: PyYAML reads them, with the classes and
 # details it always gave.
