@@ -54,9 +54,8 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "density_scores", "n_max_nodes",
     ),
     "orchestrator": (
-        "AgentMessage", "CodeBlock", "EpisodeResult", "EpisodeRunner", "Observation",
-        "Trajectory", "TurnRecord", "build_observation", "extract_code",
-        "render_history_prompt",
+        "AgentMessage", "CodeBlock", "EpisodeResult", "EpisodeRunner", "Trajectory",
+        "TurnRecord", "build_observation", "extract_code", "render_history_prompt",
     ),
     "problem": ("ProblemSpec", "TestCase", "iter_problems", "load_problem"),
     "rewards": (

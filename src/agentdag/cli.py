@@ -323,17 +323,21 @@ def _cmd_run(args: argparse.Namespace) -> int:
 # -- corpus -------------------------------------------------------------------
 
 def _corpus_config(args: argparse.Namespace) -> CorpusFilterConfig:
+    validator = tuple(shlex.split(args.validator)) if args.validator is not None else None
+    if validator == ():
+        raise ConfigError("--validator must name a program, not be empty")
     return CorpusFilterConfig(
         role_pool=_parse_role_pool(args.role_pool),
         s_complex_min=args.s_complex_min,
         s_complex_max=args.s_complex_max,
-        validator_cmd=tuple(shlex.split(args.validator)) if args.validator else None,
+        validator_cmd=validator,
     )
 
 
 def _cmd_corpus_filter(args: argparse.Namespace) -> int:
+    config = _corpus_config(args)
     records = read_corpus(args.input)
-    report, accepted = filter_corpus(records, _corpus_config(args))
+    report, accepted = filter_corpus(records, config)
     write_corpus(accepted, args.output)
     payload = report.to_dict()
     if args.report:
@@ -346,8 +350,8 @@ def _cmd_corpus_filter(args: argparse.Namespace) -> int:
 
 
 def _cmd_corpus_stats(args: argparse.Namespace) -> int:
-    records = read_corpus(args.input)
-    _print_json(corpus_stats(records, _corpus_config(args)))
+    config = _corpus_config(args)
+    _print_json(corpus_stats(read_corpus(args.input), config))
     return EXIT_OK
 
 

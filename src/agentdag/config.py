@@ -172,6 +172,8 @@ def _command(raw: Any, what: str) -> tuple[str, ...]:
     if isinstance(raw, (str, bytes)):
         raise ConfigError(f"{what} must be a list of arguments, not a string")
     command = tuple(raw)
+    if not command:
+        raise ConfigError(f"{what} must name a program, not be empty")
     if not all(isinstance(arg, str) for arg in command):
         raise ConfigError(f"{what} arguments must all be strings")
     return command

@@ -76,14 +76,6 @@ class LayeredDag:
     def in_edges(self, agent_id: str) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.dst == agent_id)
 
-    def to_dict(self) -> dict:
-        return {
-            "turn": self.turn,
-            "layers": [list(layer) for layer in self.layers],
-            "nodes": {n.id: {"role": n.role, "layer": n.layer} for n in self.nodes.values()},
-            "edges": [[e.src, e.dst, e.kind.value] for e in self.edges],
-        }
-
 
 def decode_topology(doc: TopologyDoc, prev: LayeredDag | None = None) -> LayeredDag:
     """Deterministically decode a validated document into a layered DAG.

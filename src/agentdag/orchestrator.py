@@ -91,33 +91,19 @@ class CodeBlock:
 
 
 @dataclass(frozen=True)
-class Observation:
-    """Failure feedback fed verbatim into the next turn's policy prompt."""
-
-    errors: tuple[str, ...]
-    logs: str
-    topology_trace: str
-    prompt_text: str
-
-    def to_dict(self) -> dict:
-        return {"errors": list(self.errors), "logs": self.logs,
-                "topology_trace": self.topology_trace, "prompt_text": self.prompt_text}
-
-
-@dataclass(frozen=True)
 class TurnRecord:
-    """Everything that happened in one turn, valid or not."""
+    """Everything that happened in one turn, valid or not. ``observation`` is
+    the failure feedback fed verbatim into the next turn's policy prompt."""
 
     turn: int
     policy_text: str
     validation: CheckResult
     doc: TopologyDoc | None
-    dag: LayeredDag | None
     density: DensityReport | None
     messages: tuple[AgentMessage, ...]
     outcome: ExecOutcome | None
     reward: RewardBreakdown
-    observation: Observation | None
+    observation: str | None
 
     def to_dict(self) -> dict:
         return {
@@ -125,12 +111,11 @@ class TurnRecord:
             "policy_text": self.policy_text,
             "validation": self.validation.to_dict(),
             "topology": doc_to_mapping(self.doc) if self.doc is not None else None,
-            "dag": self.dag.to_dict() if self.dag is not None else None,
             "density": self.density.to_dict() if self.density is not None else None,
             "messages": [m.to_dict() for m in self.messages],
             "outcome": self.outcome.to_dict() if self.outcome is not None else None,
             "reward": self.reward.to_dict(),
-            "observation": self.observation.to_dict() if self.observation is not None else None,
+            "observation": self.observation,
         }
 
 
@@ -185,9 +170,8 @@ def truncate_text(text: str, cap: int) -> str:
     return text[:cap] + _TRUNCATION_MARKER.format(cap=cap)
 
 
-def build_observation(outcome: ExecOutcome, logs: str, doc: TopologyDoc, *,
-                      time_limit_ms: int, memory_limit_mb: int,
-                      log_cap: int = 4000) -> Observation:
+def build_observation(outcome: ExecOutcome, doc: TopologyDoc, *,
+                      time_limit_ms: int, memory_limit_mb: int, log_cap: int = 4000) -> str:
     """Feedback for a turn that executed but did not pass."""
     verdict = outcome.verdict
     lines = [f"The last attempt failed with [{verdict.value}]."]
@@ -195,22 +179,15 @@ def build_observation(outcome: ExecOutcome, logs: str, doc: TopologyDoc, *,
         lines.append(f"time limit: {time_limit_ms} ms")
     if verdict is Verdict.MEMORY_LIMIT_EXCEEDED:
         lines.append(f"memory limit: {memory_limit_mb} MB")
-    shown_logs = truncate_text(logs, log_cap)
     lines.append("execution logs:")
-    lines.append(shown_logs if shown_logs else "(none)")
-    trace = to_yaml(doc)
+    lines.append(truncate_text(outcome.logs, log_cap) or "(none)")
     lines.append("topology used:")
-    lines.append(trace.rstrip("\n"))
+    lines.append(to_yaml(doc).rstrip("\n"))
     lines.append("Revise the topology and emit a corrected fenced yaml block.")
-    return Observation(
-        errors=(verdict.value,),
-        logs=shown_logs,
-        topology_trace=trace,
-        prompt_text="\n".join(lines),
-    )
+    return "\n".join(lines)
 
 
-def build_validation_observation(check: CheckResult) -> Observation:
+def build_validation_observation(check: CheckResult) -> str:
     """Feedback for a turn whose YAML never made it to execution."""
     assert check.error_class is not None
     lines = [f"The last topology was rejected with [{check.error_class.value}]."]
@@ -225,12 +202,7 @@ def build_validation_observation(check: CheckResult) -> Observation:
         if where:
             lines.append(f"location: {', '.join(where)}")
     lines.append("Emit a corrected fenced yaml block.")
-    return Observation(
-        errors=(check.error_class.value,),
-        logs="",
-        topology_trace="",
-        prompt_text="\n".join(lines),
-    )
+    return "\n".join(lines)
 
 
 def render_history_prompt(problem: ProblemSpec, turns: Sequence[TurnRecord], *,
@@ -252,7 +224,7 @@ def render_history_prompt(problem: ProblemSpec, turns: Sequence[TurnRecord], *,
             lines.append(to_yaml(record.doc).rstrip("\n"))
         if record.observation is not None:
             lines.append("feedback:")
-            lines.append(record.observation.prompt_text)
+            lines.append(record.observation)
     if turns:
         lines.append("")
         lines.append("Produce an improved topology now.")
@@ -308,8 +280,7 @@ class EpisodeRunner:
                 if not check.ok:
                     turns.append(TurnRecord(
                         turn=k, policy_text=response.content, validation=check,
-                        doc=None, dag=None, density=None, messages=(),
-                        outcome=None,
+                        doc=None, density=None, messages=(), outcome=None,
                         reward=turn_reward(check.error_class, weights=config.weights),
                         observation=build_validation_observation(check),
                     ))
@@ -329,14 +300,14 @@ class EpisodeRunner:
                 prev_dag = dag
                 passed = outcome.verdict is Verdict.PASSED
                 observation = None if passed else build_observation(
-                    outcome, outcome.logs, doc,
+                    outcome, doc,
                     time_limit_ms=problem.time_limit_ms,
                     memory_limit_mb=problem.memory_limit_mb,
                     log_cap=config.observation_log_cap,
                 )
                 turns.append(TurnRecord(
                     turn=k, policy_text=response.content, validation=check,
-                    doc=doc, dag=dag, density=density, messages=tuple(messages),
+                    doc=doc, density=density, messages=tuple(messages),
                     outcome=outcome, reward=reward, observation=observation,
                 ))
                 if passed:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import random
 import re
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import settings
 
 from agentdag.adapters import LocalExecutor
-from agentdag.dsl import AgentSpec, Step, TopologyDoc
+from agentdag.dsl import AgentSpec, Step, TopologyDoc, parse_topology
+from agentdag.graph import LayeredDag, decode_topology
 from agentdag.roles import DEFAULT_ROLE_POOL
 
 # A topology in a history prompt, as a whole block: under ``topology used:`` up
@@ -69,6 +71,19 @@ class PromptSpy:
 def topology_blocks(prompt: str) -> list[str]:
     """Every topology a history prompt shows, in order, without its trailing newline."""
     return [used or own for used, own in _TOPOLOGY_BLOCK.findall(prompt)]
+
+
+def rebuild_dags(turns: list[dict]) -> dict[int, LayeredDag]:
+    """The README's recipe for the DAG a trajectory line does not store: decode
+    each non-null ``topology`` in turn order, with the DAG before it as ``prev``.
+    Keyed by the line's ``turn``."""
+    dags: dict[int, LayeredDag] = {}
+    prev = None
+    for turn in turns:
+        if turn["topology"] is not None:
+            prev = decode_topology(parse_topology(json.dumps(turn["topology"])), prev=prev)
+            dags[turn["turn"]] = prev
+    return dags
 
 
 def make_doc(layers, difficulty: int = 1) -> TopologyDoc:

@@ -664,7 +664,9 @@ class TestRun:
         ("role_prompts: [a]", "role_prompts must be a mapping of role names to prompts"),
         ("executor: {languages: {python: {run_cmd: [1, 2]}}}",
          "language 'python' run_cmd arguments must all be strings"),
-    ], ids=["deep", "role_prompts", "run_cmd"])
+        ("executor: {languages: {python: {run_cmd: []}}}",
+         "language 'python' run_cmd must name a program, not be empty"),
+    ], ids=["deep", "role_prompts", "run_cmd", "empty_run_cmd"])
     def test_an_unusable_config_is_refused_in_one_line(self, run_fixture, capsys,
                                                        text, reason):
         config = write(run_fixture["tmp"], "bad.yaml", text + "\n")
@@ -751,6 +753,16 @@ class TestCorpusCli:
         # syntax error are caught by earlier stages and never reach it.
         assert payload["rejected"]["logic"] == 2
         assert payload["rejected"]["duplicate"] == 1
+
+    @pytest.mark.parametrize("command", ["filter", "stats"])
+    @pytest.mark.parametrize("validator", ["", "  "])
+    def test_a_blank_validator_is_a_usage_error(self, tmp_path, capsys, command, validator):
+        inp = corpus_lines(tmp_path)
+        outp = tmp_path / "out.jsonl"
+        argv = [inp, str(outp)] if command == "filter" else [inp]
+        code, out, err = run_cli(capsys, "corpus", command, *argv, "--validator", validator)
+        assert code == 2 and out == "" and not outp.exists()
+        assert err == "error: --validator must name a program, not be empty\n"
 
     def test_stats(self, tmp_path, capsys):
         inp = corpus_lines(tmp_path)

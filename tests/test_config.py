@@ -73,6 +73,12 @@ class TestMappingParsing:
         assert config.executor.languages["c"].compile_cmd == ("cc", "{src}")
         assert "python" in config.executor.languages  # defaults survive
 
+    @pytest.mark.parametrize("compile_cmd", [[], None])
+    def test_an_empty_or_null_compile_cmd_is_no_compile_step(self, compile_cmd):
+        config = config_from_mapping({"executor": {"languages": {
+            "c": {"run_cmd": ["./a.out"], "compile_cmd": compile_cmd}}}})
+        assert config.executor.languages["c"].compile_cmd is None
+
     def test_zero_retries_is_one_attempt_and_allowed(self):
         assert config_from_mapping({"policy": {"retries": 0}}).policy.retries == 0
 
@@ -126,6 +132,8 @@ class TestMappingParsing:
          "language 'python' run_cmd arguments must all be strings"),
         ({"executor": {"languages": {"c": {"run_cmd": ["./a.out"], "compile_cmd": ["cc", 2]}}}},
          "language 'c' compile_cmd arguments must all be strings"),
+        ({"executor": {"languages": {"c": {"run_cmd": []}}}},
+         "language 'c' run_cmd must name a program, not be empty"),
     ])
     def test_rejections(self, data, needle):
         with pytest.raises(ConfigError, match=needle):

@@ -14,12 +14,15 @@ Regenerate ``trajectories.jsonl`` only for an intended change of output::
 
 from __future__ import annotations
 
+import json
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import rebuild_dags
 
 from agentdag.cli import main
+from agentdag.graph import EdgeKind
 
 GOLDEN = Path(__file__).parent / "golden"
 EXPECTED = GOLDEN / "trajectories.jsonl"
@@ -50,8 +53,13 @@ def test_golden_file_covers_every_turn_kind():
     for needle in ('"class":"NO_YAML_FOUND"', '"class":"YAML_PARSE_ERROR"',
                    '"class":"YAML_SCHEMA_INVALID"', '"class":"YAML_LOGIC_INVALID"',
                    '"verdict":"WRONG_ANSWER"', '"verdict":"PASSED"',
-                   '"cross_turn"', "no fenced code block found in the agent messages"):
+                   "no fenced code block found in the agent messages"):
         assert needle in text, needle
+    # A line stores no DAG; the README's recipe rebuilds one with a cross-turn ref.
+    kinds = {edge.kind for line in text.splitlines()
+             for dag in rebuild_dags(json.loads(line)["trajectory"]["turns"]).values()
+             for edge in dag.edges}
+    assert EdgeKind.CROSS_TURN in kinds
 
 
 if __name__ == "__main__":

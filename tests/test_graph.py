@@ -268,17 +268,6 @@ class TestCost:
             assert rel_err(est.per_agent, per_agent_ref) <= RELTOL
 
 
-class TestDagSerialization:
-    def test_round_trip_through_dict(self):
-        doc = make_doc([[("a", "planning", [])], [("b", "coding", ["a"])]], difficulty=2)
-        dag = decode_topology(doc, None)
-        data = dag.to_dict()
-        assert data["turn"] == 1
-        assert data["layers"] == [["a"], ["b"]]
-        assert data["nodes"]["a"] == {"role": "planning", "layer": 1}
-        assert data["edges"] == [["a", "b", "intra_turn"]]
-
-
 def test_density_requires_known_difficulty():
     doc = parse_topology("difficulty: 1\nsteps:\n  - step: 1\n    agents:\n      - id: a\n        role: planning\n        ref: []\n")
     dag = decode_topology(doc, None)

@@ -200,15 +200,13 @@ class TestBuildObservation:
         return parse_topology(PLAN_CODE)
 
     def test_wrong_answer_feedback(self):
-        obs = build_observation(wa_outcome(), wa_outcome().logs, self.doc(),
-                                time_limit_ms=2000, memory_limit_mb=512)
-        assert "[WRONG_ANSWER]" in obs.prompt_text
-        assert "time limit" not in obs.prompt_text
-        assert "execution logs:" in obs.prompt_text
-        assert "expected '1'" in obs.prompt_text
-        assert "difficulty: 1" in obs.prompt_text  # the topology is echoed back
-        assert obs.prompt_text.endswith("Revise the topology and emit a corrected fenced yaml block.")
-        assert obs.errors == ("WRONG_ANSWER",)
+        obs = build_observation(wa_outcome(), self.doc(), time_limit_ms=2000, memory_limit_mb=512)
+        assert obs.startswith("The last attempt failed with [WRONG_ANSWER].\n")
+        assert "time limit" not in obs
+        assert "execution logs:" in obs
+        assert "expected '1'" in obs
+        assert "difficulty: 1" in obs  # the topology is echoed back
+        assert obs.endswith("Revise the topology and emit a corrected fenced yaml block.")
 
     def test_tle_includes_the_limit(self):
         outcome = ExecOutcome(
@@ -216,10 +214,9 @@ class TestBuildObservation:
             per_test=(TestResult(index=0, status=Verdict.TIME_LIMIT_EXCEEDED),),
             logs="",
         )
-        obs = build_observation(outcome, "", self.doc(),
-                                time_limit_ms=1500, memory_limit_mb=512)
-        assert "time limit: 1500 ms" in obs.prompt_text
-        assert "(none)" in obs.prompt_text  # empty logs are named, not omitted
+        obs = build_observation(outcome, self.doc(), time_limit_ms=1500, memory_limit_mb=512)
+        assert "time limit: 1500 ms" in obs
+        assert "execution logs:\n(none)\n" in obs  # empty logs are named, not omitted
 
     def test_mle_includes_the_limit(self):
         outcome = ExecOutcome(
@@ -227,24 +224,26 @@ class TestBuildObservation:
             per_test=(TestResult(index=0, status=Verdict.MEMORY_LIMIT_EXCEEDED),),
             logs="oom",
         )
-        obs = build_observation(outcome, "oom", self.doc(),
-                                time_limit_ms=1500, memory_limit_mb=64)
-        assert "memory limit: 64 MB" in obs.prompt_text
+        obs = build_observation(outcome, self.doc(), time_limit_ms=1500, memory_limit_mb=64)
+        assert "memory limit: 64 MB" in obs
+        assert "execution logs:\noom\n" in obs
 
     def test_logs_are_truncated_at_the_cap(self):
-        obs = build_observation(wa_outcome(), "L" * 5000, self.doc(),
-                                time_limit_ms=2000, memory_limit_mb=512, log_cap=100)
-        assert "truncated at 100 characters" in obs.logs
-        assert len(obs.logs) < 200
+        outcome = dataclasses.replace(wa_outcome(), logs="L" * 5000)
+        obs = build_observation(outcome, self.doc(), time_limit_ms=2000, memory_limit_mb=512,
+                                log_cap=100)
+        shown = "L" * 100 + "\n[... truncated at 100 characters]"
+        assert f"execution logs:\n{shown}\ntopology used:\n" in obs
+        assert "L" * 101 not in obs
 
 
 class TestValidationObservation:
     def test_no_yaml(self):
         check = check_topology("no fence here")
         obs = build_validation_observation(check)
-        assert "[NO_YAML_FOUND]" in obs.prompt_text
-        assert obs.prompt_text.endswith("Emit a corrected fenced yaml block.")
-        assert obs.logs == "" and obs.topology_trace == ""
+        assert obs.startswith("The last topology was rejected with [NO_YAML_FOUND].\n")
+        assert obs.endswith("Emit a corrected fenced yaml block.")
+        assert "execution logs:" not in obs and "topology used:" not in obs
 
     def test_logic_error_carries_location(self):
         bad = fenced(
@@ -257,9 +256,9 @@ class TestValidationObservation:
         )
         check = check_topology(bad)
         obs = build_validation_observation(check)
-        assert "[YAML_LOGIC_INVALID]" in obs.prompt_text
-        assert "detail:" in obs.prompt_text
-        assert "step 1" in obs.prompt_text and "agent 'a'" in obs.prompt_text
+        assert "[YAML_LOGIC_INVALID]" in obs
+        assert "detail:" in obs
+        assert "location: step 1, agent 'a'" in obs
 
 
 class TestHistoryPrompt:
@@ -282,7 +281,7 @@ class TestHistoryPrompt:
         # The failed turn's topology is shown once, inside its feedback.
         assert prompt == "\n".join([
             "Problem echo:", ECHO.description, "",
-            "--- turn 1 ---", "feedback:", turn.observation.prompt_text, "",
+            "--- turn 1 ---", "feedback:", turn.observation, "",
             "Produce an improved topology now.",
         ])
         assert "[WRONG_ANSWER]" in prompt
@@ -351,7 +350,7 @@ class TestPromptTokens:
         result = EpisodeRunner(policy, roles, CountingSandbox(),
                                RunConfig(max_turns=3)).run(ECHO)
         assert result.status == "PASSED" and len(policy.prompts) == 3
-        assert max(len(layer) for layer in result.trajectory.turns[0].dag.layers) == 2
+        assert max(len(step.agents) for step in result.trajectory.turns[0].doc.steps) == 2
         assert len(roles.requests) == 5
         # A role request is counted as one text, its system prompt followed by
         # its message contents with nothing between them.
@@ -488,7 +487,7 @@ class TestEpisodes:
         assert turn.outcome.logs == NO_CODE_LOG
         assert len(turn.outcome.per_test) == len(ECHO.tests)
         assert turn.reward.r_e == 0.6
-        assert NO_CODE_LOG in turn.observation.prompt_text
+        assert NO_CODE_LOG in turn.observation
 
     def test_missing_backend_is_an_episode_error(self):
         result = EpisodeRunner(
@@ -576,20 +575,28 @@ class TestEpisodes:
 
     def test_trajectory_serialization_shape(self):
         result = EpisodeRunner(
-            ScriptedPolicy([fenced(PLAN_CODE)]),
-            ScriptedRoleBackend(solutions={"echo": [ECHO_SOLUTION]}),
+            ScriptedPolicy(["no yaml", fenced(PLAN_CODE), fenced(PLAN_CODE)]),
+            ScriptedRoleBackend(solutions={"echo": [WRONG_SOLUTION, WRONG_SOLUTION,
+                                                    ECHO_SOLUTION]}),
             LocalExecutor(),
-            RunConfig(max_turns=1),
+            RunConfig(max_turns=3),
         ).run(ECHO)
         data = result.to_dict()
         assert set(data) == {"problem_id", "status", "trajectory", "token_usage",
                              "sandbox_runs", "error"}
         assert set(data["trajectory"]) == {"gamma", "return", "turns"}
-        turn = data["trajectory"]["turns"][0]
-        assert set(turn) == {"turn", "policy_text", "validation", "topology", "dag",
-                             "density", "messages", "outcome", "reward", "observation"}
-        assert turn["observation"] is None
-        assert turn["outcome"]["verdict"] == "PASSED"
+        turns = data["trajectory"]["turns"]
+        for turn in turns:
+            assert set(turn) == {"turn", "policy_text", "validation", "topology", "density",
+                                 "messages", "outcome", "reward", "observation"}
+        # The observation is the feedback text the next prompt shows, or null.
+        invalid, failed, passed = turns
+        assert invalid["observation"] == result.trajectory.turns[0].observation
+        assert invalid["observation"].startswith("The last topology was rejected with [NO_YAML_FOUND].")
+        assert failed["observation"] == result.trajectory.turns[1].observation
+        assert failed["observation"].startswith("The last attempt failed with [WRONG_ANSWER].")
+        assert passed["observation"] is None
+        assert passed["outcome"]["verdict"] == "PASSED"
         assert json.dumps(data)  # JSON-serializable end to end
 
     def test_gamma_discounts_the_return(self):

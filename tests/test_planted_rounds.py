@@ -6,10 +6,11 @@ validation classes and structure counts are known from how they were built;
 formulas. Here each episode of a round runs through ``EpisodeRunner``, the
 rollout round under the real ``LocalExecutor`` and the memory round under
 the benchmark's in-memory ``ReferenceJudge``, and every finished episode is
-checked against the oracle and for its self-turn edges. The round's JSONL
-bytes must not depend on how many episodes run at once. Every history prompt
-the policy is shown is checked too: each earlier executed topology appears in
-it once, and each earlier invalid turn's raw output is there as it was.
+checked against the oracle and for the self-turn edges of the DAGs that the
+README's recipe rebuilds from its line. The round's JSONL bytes must not
+depend on how many episodes run at once. Every history prompt the policy is
+shown is checked too: each earlier executed topology appears in it once, and
+each earlier invalid turn's raw output is there as it was.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
-from conftest import PromptSpy, topology_blocks
+from conftest import PromptSpy, rebuild_dags, topology_blocks
 
 from agentdag import jsonio
 from agentdag.adapters import LocalExecutor, ScriptedPolicy, ScriptedRoleBackend
 from agentdag.config import RunConfig
 from agentdag.dsl import to_yaml
+from agentdag.graph import EdgeKind, density_scores
 from agentdag.orchestrator import EpisodeRunner, truncate_text
 from agentdag.problem import ProblemSpec
 
@@ -40,17 +42,28 @@ SEEDS = (11, 12)
 
 
 def check_self_turn_edges(episode: dict) -> None:
-    """The one edge kind the oracle leaves out: each agent id a document
-    shares with the last turn that ran gets one ``self_turn`` edge, and no
-    other id does. Ids are read from the parsed documents, not from the DAGs."""
+    """The one edge kind the oracle leaves out, on the DAGs the README's recipe
+    rebuilds from the line: each agent id a document shares with the last turn
+    that ran gets one ``self_turn`` edge, and no other id does. Ids are read
+    from the parsed documents, not from the DAGs. Each rebuilt DAG also gives
+    the line's density and runs its agents in the order of the line's messages."""
+    turns = episode["trajectory"]["turns"]
+    dags = rebuild_dags(turns)
+    assert sorted(dags) == [t["turn"] for t in turns if t["outcome"] is not None]
     prev: set[str] = set()
-    for turn in episode["trajectory"]["turns"]:
-        if turn["dag"] is None:  # the turn did not run
+    for turn in turns:
+        if turn["topology"] is None:  # the turn did not run
             continue
+        where = (episode["problem_id"], turn["turn"])
+        dag = dags[turn["turn"]]
         ids = {agent["id"] for step in turn["topology"]["steps"] for agent in step["agents"]}
-        self_edges = sorted(src for src, dst, kind in turn["dag"]["edges"]
-                            if kind == "self_turn" and src == dst)
-        assert self_edges == sorted(ids & prev), (episode["problem_id"], turn["turn"])
+        self_edges = sorted(e.src for e in dag.edges
+                            if e.kind is EdgeKind.SELF_TURN and e.src == e.dst)
+        assert self_edges == sorted(ids & prev), where
+        assert density_scores(dag, turn["topology"]["difficulty"]).to_dict() == turn["density"], \
+            where
+        assert [m["agent_id"] for m in turn["messages"]] == \
+            [agent_id for layer in dag.layers for agent_id in layer], where
         prev = ids
 
 
